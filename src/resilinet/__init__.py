@@ -1,27 +1,26 @@
-"""Connectivity recovery planning and simulation for damaged swarm networks."""
+"""Connectivity recovery planning and simulation for damaged swarm networks.
+
+The package namespace holds the pipeline the CLI, the demos and the README
+use, the file loaders and savers, the error types and the types those
+functions return.  Solver internals stay importable from their submodules.
+"""
 
 from .damage import (DamageError, DamageScenario, InputGraph, apply_damage,
                      build_input_graph, load_scenario, remaining_adjacency,
                      save_scenario)
-from .damage_graphs import (BipartiteDamageGraph, DamageGraphSequence,
-                            SparsityReport, bipartite_damage_graph,
+from .damage_graphs import (DamageGraphSequence, SparsityReport,
                             build_graph_sequence, choose_branch_count,
-                            damage_mask, dilate_adjacency, sparsity_report)
-from .gcn import (AdamState, BranchMetrics, Hyperparams, ModelWeights,
-                  PretrainResult, SolutionSet, TrainingDivergence, adam_step,
-                  backward, build_kernel, forward, gco_apply, kernel_flow,
-                  load_model, loss_head, normalize_features, per_branch_metrics,
-                  pretrain, reported_loss, save_model, solve, upscale_features,
-                  write_loss_curve)
+                            sparsity_report)
+from .gcn import (Hyperparams, ModelWeights, PretrainResult, TrainingDivergence,
+                  kernel_flow, load_model, pretrain, save_model, write_loss_curve)
 from .planner import (METHOD_CENTERING, METHOD_FALLBACK, METHOD_LEARNED,
                       RecoveryPlan, load_plan, plan_centering, plan_learned,
                       save_plan, verify_plan)
-from .simulate import (CellSummary, ExperimentResults, ExperimentSpec, SimResult,
-                       TrialRecord, derive_trial_seeds, export_results,
-                       results_to_dict, run_experiment, simulate_recovery)
-from .swarm import (DegreeStats, GenerationError, SwarmTopology, build_adjacency,
-                    component_labels, count_subnets, degree_stats, diameter_hops,
-                    friis_range, generate_swarm, hop_distances, laplacian,
+from .simulate import (ExperimentResults, ExperimentSpec, SimResult,
+                       export_results, run_experiment, simulate_recovery,
+                       write_summary_csv)
+from .swarm import (DegreeStats, GenerationError, SwarmTopology, count_subnets,
+                    degree_stats, diameter_hops, generate_swarm, hop_distances,
                     load_topology, save_topology)
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from .gcn import (Hyperparams, TrainingDivergence, load_model, pretrain,
                   save_model, write_loss_curve)
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, load_plan, plan_centering,
                       plan_learned, save_plan, verify_plan)
-from .simulate import (ExperimentSpec, SUMMARY_COLUMNS, export_results,
-                       run_experiment, simulate_recovery)
+from .simulate import (ExperimentSpec, export_results, run_experiment,
+                       simulate_recovery, write_summary_csv)
 from .swarm import GenerationError, generate_swarm, load_topology, save_topology
 
 EXIT_OK = 0
@@ -240,18 +240,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read results file: {exc}") from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for s in payload.get("summary", []):
-            writer.writerow([
-                s["method"], s["n"], s["n_d"],
-                "" if s["R_c"] is None else repr(float(s["R_c"])),
-                "" if s["mean_T"] is None else repr(float(s["mean_T"])),
-                "" if s["std_T"] is None else repr(float(s["std_T"])),
-                "" if s["mean_deg"] is None else repr(float(s["mean_deg"])),
-                "" if s["max_deg"] is None else repr(float(s["max_deg"])),
-            ])
+    write_summary_csv(out / "summary.csv", payload.get("summary", []))
     with open(out / "trc_vs_nd.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "n_d", "mean_T", "std_T"])

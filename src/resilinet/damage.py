@@ -34,6 +34,8 @@ class DamageScenario:
         remaining = np.asarray(self.remaining, dtype=int)
         if destroyed.size < 1:
             raise ValueError("at least one node must be destroyed")
+        if remaining.size < 1:
+            raise ValueError("remaining is empty: at least one node must survive")
         if (np.unique(destroyed).size != destroyed.size
                 or np.unique(remaining).size != remaining.size):
             raise ValueError("node indices must be unique")

@@ -9,9 +9,7 @@ matrix powers).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -98,21 +96,13 @@ def dilate_adjacency(hops: np.ndarray, hop_limit: int) -> np.ndarray:
     return (h > 0) & (h <= hop_limit)
 
 
-def damage_mask(n_remaining: int, n_destroyed: int) -> np.ndarray:
-    """Boolean mask keeping only remaining-to-destroyed links."""
-    n = n_remaining + n_destroyed
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:n_remaining, n_remaining:] = True
-    mask[n_remaining:, :n_remaining] = True
-    return mask
-
-
 def bipartite_damage_graph(dilated: np.ndarray, n_remaining: int, n_destroyed: int,
                            hop_limit: int) -> BipartiteDamageGraph:
     """Mask a dilated adjacency to its remaining/destroyed cross block.
 
-    Equivalent to the element-wise product with ``damage_mask`` followed by
-    extraction of the upper-right biadjacency block.
+    Equivalent to the element-wise product with the mask that keeps only
+    remaining-to-destroyed links, followed by extraction of the upper-right
+    biadjacency block.
     """
     dil = np.asarray(dilated, dtype=bool)
     if dil.shape != (n_remaining + n_destroyed,) * 2:
@@ -173,13 +163,3 @@ def sparsity_report(seq: DamageGraphSequence) -> SparsityReport:
         density=density,
         density_bound=bound,
     )
-
-
-def dump_edge_lists(path: str | Path, seq: DamageGraphSequence) -> None:
-    """Debug dump: per-branch edge lists in input-graph index space."""
-    entries = []
-    for g in seq.graphs:
-        rows, cols = np.nonzero(g.biadjacency)
-        edges = [[int(r), int(seq.n_remaining + d)] for r, d in zip(rows, cols)]
-        entries.append({"k": g.hop_limit, "edges": edges})
-    Path(path).write_text(json.dumps(entries, indent=2) + "\n")

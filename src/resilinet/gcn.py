@@ -61,7 +61,6 @@ class Hyperparams:
     adam_eps: float = 1e-8
     max_speed: float = 10.0
     branch_cap: int = 12
-    literal_upscale: bool = False
 
     def __post_init__(self):
         if self.hidden_dim < 1 or self.blocks < 1:
@@ -139,32 +138,20 @@ def build_kernel(seq: DamageGraphSequence, step: float | None = None) -> sparse.
     return kernel.tocsr()
 
 
-def single_branch_kernel(seq: DamageGraphSequence, branch: int,
-                         step: float | None = None) -> sparse.csr_matrix:
-    """Kernel I - step * L for one branch's full (n, n) adjacency."""
-    if not 1 <= branch <= seq.branches:
-        raise ValueError("branch index out of range")
-    full = seq.graphs[branch - 1].full_adjacency().astype(float)
-    if step is None:
-        step = 1.0 / seq.n
-    degrees = full.sum(axis=1)
-    max_degree = float(degrees.max()) if degrees.size else 0.0
-    if step <= 0 or (max_degree > 0 and step > 1.0 / max_degree + 1e-15):
-        raise ValueError(f"kernel step {step} violates contraction bound 1/{max_degree}")
-    adjacency = sparse.csr_matrix(full)
-    return (sparse.identity(seq.n, format="csr")
-            - step * (sparse.diags(degrees) - adjacency)).tocsr()
-
-
 def kernel_flow(seq: DamageGraphSequence, branch: int, x: np.ndarray,
                 steps: int, step_size: float | None = None) -> np.ndarray:
     """Apply one branch's kernel ``steps`` times to x (no weights).
 
+    The kernel is the branch's diagonal block of ``build_kernel``, so an
+    explicit ``step_size`` must satisfy the bound of the whole batch.
     Column sums are invariant; on a connected branch the rows converge to
     the centroid of x, and on a disconnected branch to per-component
     centroids.
     """
-    kernel = single_branch_kernel(seq, branch, step_size)
+    if not 1 <= branch <= seq.branches:
+        raise ValueError("branch index out of range")
+    lo = (branch - 1) * seq.n
+    kernel = build_kernel(seq, step_size)[lo:lo + seq.n, lo:lo + seq.n]
     out = np.asarray(x, dtype=float).copy()
     for _ in range(steps):
         out = kernel @ out
@@ -187,11 +174,6 @@ def normalize_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
 def upscale_features(normalized: np.ndarray, center: np.ndarray, scale: float) -> np.ndarray:
     """Exact inverse of normalize_features."""
     return (scale + 1.0) * np.asarray(normalized, dtype=float) + center
-
-
-def gco_apply(kernel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One graph convolution: (I - step L) X W as sparse-dense then dense-dense."""
-    return (kernel @ x) @ w
 
 
 @dataclass(frozen=True)
@@ -235,10 +217,8 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
     if needs_rng and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
 
-    n = seq.n
-    center = seq.batch_features[:n].mean(axis=0)
-    scale = float(np.linalg.norm(seq.batch_features[:n] - center, axis=1).max())
-    x_norm = (seq.batch_features - center) / (scale + 1.0)
+    x_rows, center, scale = normalize_features(seq.batch_features[:seq.n])
+    x_norm = np.tile(x_rows, (seq.branches, 1))
 
     first_mid = kernel @ x_norm
     first_act = np.maximum(first_mid @ mats[0], 0.0)
@@ -264,10 +244,7 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
 
     final_mid = kernel @ x
     final_act = np.tanh(final_mid @ mats[-1])
-    if config.literal_upscale:
-        output = (scale + 1.0) * (final_act + center)
-    else:
-        output = (scale + 1.0) * final_act + center
+    output = upscale_features(final_act, center, scale)
     if not np.all(np.isfinite(output)):
         raise TrainingDivergence("non-finite network output")
 
@@ -325,6 +302,14 @@ class BranchMetrics:
     subnet_counts: np.ndarray
 
 
+def _score_branch(targets: np.ndarray, start_remaining: np.ndarray, comm_range: float
+                  ) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """Distances from start, the arg-max node, and the candidate graph's (n_comp, labels)."""
+    dist = np.linalg.norm(targets - start_remaining, axis=1)
+    n_comp, labels = component_labels(build_adjacency(targets, comm_range))
+    return dist, int(np.argmax(dist)), n_comp, labels
+
+
 def per_branch_metrics(output: np.ndarray, n: int, n_remaining: int,
                        start_remaining: np.ndarray, max_speed: float,
                        comm_range: float) -> BranchMetrics:
@@ -338,10 +323,10 @@ def per_branch_metrics(output: np.ndarray, n: int, n_remaining: int,
     times = np.empty(branches)
     counts = np.empty(branches, dtype=int)
     for k in range(branches):
-        targets = output[k * n: k * n + n_remaining]
-        dist = np.linalg.norm(targets - start_remaining, axis=1)
-        times[k] = float(dist.max()) / max_speed
-        counts[k] = count_subnets(build_adjacency(targets, comm_range))
+        dist, worst, counts[k], _ = _score_branch(
+            output[k * n: k * n + n_remaining], start_remaining, comm_range
+        )
+        times[k] = float(dist[worst]) / max_speed
     return BranchMetrics(flight_times=times, subnet_counts=counts)
 
 
@@ -351,17 +336,18 @@ def reported_loss(metrics: BranchMetrics, lagrange_s: float) -> float:
     return float(metrics.flight_times.sum() + lagrange_s * extra.sum())
 
 
-def _component_gap_gradient(targets: np.ndarray, comm_range: float,
-                            gap_penalty: float, grad_out: np.ndarray) -> float:
+def _component_gap_gradient(targets: np.ndarray, n_comp: int, labels: np.ndarray,
+                            comm_range: float, gap_penalty: float,
+                            grad_out: np.ndarray) -> float:
     """Spanning-tree gap surrogate for the sub-net penalty; adds into grad_out.
 
     Components of the candidate graph are joined into a complete graph
     weighted by their closest node-pair distance; along the minimum spanning
     tree, every edge contributes gap_penalty * (distance - comm_range), with
-    gradient on the closest pair pulling the components together.  Returns
-    the surrogate value (zero when already connected).
+    gradient on the closest pair pulling the components together.
+    ``n_comp`` and ``labels`` are the components of that candidate graph.
+    Returns the surrogate value (zero when already connected).
     """
-    n_comp, labels = component_labels(build_adjacency(targets, comm_range))
     if n_comp <= 1:
         return 0.0
     members = [np.flatnonzero(labels == c) for c in range(n_comp)]
@@ -429,16 +415,15 @@ def loss_head(output: np.ndarray, n: int, n_remaining: int,
     for k in range(branches):
         lo = k * n
         targets = output[lo: lo + n_remaining]
-        dist = np.linalg.norm(targets - start_remaining, axis=1)
-        worst = int(np.argmax(dist))
+        dist, worst, n_comp, labels = _score_branch(targets, start_remaining, comm_range)
         times[k] = float(dist[worst]) / max_speed
         if dist[worst] > 0.0:
             grad[lo + worst] += (targets[worst] - start_remaining[worst]) / (
                 max_speed * dist[worst]
             )
-        counts[k] = count_subnets(build_adjacency(targets, comm_range))
+        counts[k] = n_comp
         surrogate_total += _component_gap_gradient(
-            targets, comm_range, gap_penalty, grad[lo: lo + n_remaining]
+            targets, n_comp, labels, comm_range, gap_penalty, grad[lo: lo + n_remaining]
         )
     metrics = BranchMetrics(flight_times=times, subnet_counts=counts)
     return LossHead(
@@ -532,7 +517,7 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     topology = generate_swarm(n, density_per_km2, comm_range, topo_seed)
     scenario = apply_damage(topology, n // 2, damage_seed, require_split=True)
     input_graph = build_input_graph(topology, scenario)
-    branches = choose_branch_count(diameter_hops(topology.adjacency()), config.branch_cap)
+    branches = choose_branch_count(diameter_hops(input_graph.adjacency), config.branch_cap)
     seq = build_graph_sequence(input_graph, branches)
     kernel = build_kernel(seq, config.kernel_step)
 

@@ -70,7 +70,7 @@ def plan_learned(topology: SwarmTopology, scenario: DamageScenario,
     config = config or Hyperparams()
     input_graph = build_input_graph(topology, scenario)
     branches = choose_branch_count(
-        diameter_hops(topology.adjacency()), config.branch_cap
+        diameter_hops(input_graph.adjacency), config.branch_cap
     )
     seq = build_graph_sequence(input_graph, branches)
     kernel = build_kernel(seq, config.kernel_step)
@@ -116,8 +116,11 @@ def load_plan(path: str | Path) -> RecoveryPlan:
     payload = json.loads(Path(path).read_text())
     if payload.get("version") != PLAN_VERSION:
         raise ValueError(f"unsupported plan file version: {payload.get('version')!r}")
+    targets = np.asarray(payload["targets"], dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != 2 or not np.all(np.isfinite(targets)):
+        raise ValueError("plan file field 'targets' must be a finite (m, 2) array")
     return RecoveryPlan(
-        targets=np.asarray(payload["targets"], dtype=float),
+        targets=targets,
         planned_time=float(payload["planned_T_rc_s"]),
         method=payload["method"],
         k_star=payload.get("k_star"),

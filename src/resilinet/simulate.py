@@ -77,7 +77,8 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     max_dist = float(np.linalg.norm(targets - positions, axis=1).max())
     total_steps = int(math.ceil(max_dist / (max_speed * step_s) - 1e-12))
 
-    series = [count_subnets(build_adjacency(positions, comm_range))]
+    adjacency = build_adjacency(positions, comm_range)
+    series = [count_subnets(adjacency)]
     history = [positions.copy()] if keep_history else None
     first: float | None = 0.0 if series[0] == 1 else None
 
@@ -89,7 +90,8 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
         moving = ~arrive & (dist > 0)
         positions[arrive] = targets[arrive]
         positions[moving] += delta[moving] * (reach / dist[moving])[:, None]
-        ns = count_subnets(build_adjacency(positions, comm_range))
+        adjacency = build_adjacency(positions, comm_range)
+        ns = count_subnets(adjacency)
         series.append(ns)
         if keep_history:
             history.append(positions.copy())
@@ -100,7 +102,7 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
         subnet_series=np.asarray(series, dtype=int),
         first_connected_s=first,
         converged=first is not None and first <= t_max + 1e-9,
-        degree=degree_stats(build_adjacency(positions, comm_range)),
+        degree=degree_stats(adjacency),
         final_positions=positions,
         history=np.asarray(history) if keep_history else None,
     )
@@ -228,9 +230,6 @@ def _run_trial(spec: ExperimentSpec, n_d: int, seed: int,
             raise AssertionError(f"{method} produced a disconnected plan")
         sim = simulate_recovery(start, plan, spec.max_speed, spec.step_s,
                                 spec.comm_range, t_max)
-        degrees = np.asarray(
-            build_adjacency(sim.final_positions, spec.comm_range)
-        ).sum(axis=1).astype(int)
         records.append(TrialRecord(
             method=method, n=spec.n, n_d=n_d, seed=seed,
             converged=sim.converged, measured_s=sim.first_connected_s,
@@ -238,7 +237,7 @@ def _run_trial(spec: ExperimentSpec, n_d: int, seed: int,
             mean_degree=sim.degree.mean, max_degree=sim.degree.max_degree,
             k_star=plan.k_star, iterations=plan.iterations,
             subnet_series=tuple(int(v) for v in sim.subnet_series),
-            final_degrees=tuple(int(d) for d in degrees),
+            final_degrees=tuple(int(d) for d in sim.degree.degrees),
         ))
     return records
 
@@ -367,6 +366,18 @@ def results_to_dict(results: ExperimentResults) -> dict:
     }
 
 
+def write_summary_csv(path: str | Path, summary_rows: list[dict]) -> None:
+    """Summary CSV from the ``results_to_dict(...)["summary"]`` rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_COLUMNS)
+        for row in summary_rows:
+            writer.writerow([row["method"], row["n"], row["n_d"]] + [
+                "" if row[key] is None else repr(float(row[key]))
+                for key in SUMMARY_COLUMNS[3:]
+            ])
+
+
 def export_results(results: ExperimentResults, out_dir: str | Path) -> dict[str, Path]:
     """Write per-trial CSV, summary CSV, JSON, and plot-ready series files."""
     out = Path(out_dir)
@@ -386,20 +397,9 @@ def export_results(results: ExperimentResults, out_dir: str | Path) -> dict[str,
             if not t.skipped:
                 writer.writerow(_trial_row(t))
 
-    with open(paths["summary"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for s in results.summary:
-            writer.writerow([
-                s.method, s.n, s.n_d,
-                "" if s.r_c is None else repr(float(s.r_c)),
-                "" if s.mean_t is None else repr(float(s.mean_t)),
-                "" if s.std_t is None else repr(float(s.std_t)),
-                "" if s.mean_deg is None else repr(float(s.mean_deg)),
-                "" if s.max_deg is None else repr(float(s.max_deg)),
-            ])
-
-    paths["json"].write_text(json.dumps(results_to_dict(results), indent=2) + "\n")
+    payload = results_to_dict(results)
+    write_summary_csv(paths["summary"], payload["summary"])
+    paths["json"].write_text(json.dumps(payload, indent=2) + "\n")
 
     with open(paths["subnet_series"], "w", newline="") as fh:
         writer = csv.writer(fh)

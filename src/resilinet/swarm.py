@@ -56,7 +56,7 @@ class SwarmTopology:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Mean/max node degree plus the cumulative degree distribution.
+    """Per-node degrees, their mean/max, and the cumulative distribution.
 
     ``cumulative[d]`` is the fraction of nodes with degree <= d, for
     d = 0..max_degree; the last entry is always 1.
@@ -65,21 +65,7 @@ class DegreeStats:
     mean: float
     max_degree: int
     cumulative: np.ndarray
-
-
-def friis_range(tx_power: float, tx_gain: float, rx_gain: float,
-                wavelength: float, sensitivity: float) -> float:
-    """Maximum link distance for a line-of-sight link with unit fading.
-
-    Solves received power == sensitivity under inverse-square path loss:
-    range = (wavelength / 4 pi) * sqrt(tx_power * tx_gain * rx_gain / sensitivity).
-    """
-    for name, value in (("tx_power", tx_power), ("tx_gain", tx_gain),
-                        ("rx_gain", rx_gain), ("wavelength", wavelength),
-                        ("sensitivity", sensitivity)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
-    return wavelength / (4.0 * math.pi) * math.sqrt(tx_power * tx_gain * rx_gain / sensitivity)
+    degrees: np.ndarray
 
 
 def build_adjacency(positions: np.ndarray, comm_range: float) -> np.ndarray:
@@ -145,18 +131,13 @@ def count_subnets(adj: np.ndarray) -> int:
     return component_labels(adj)[0]
 
 
-def laplacian(adj: np.ndarray) -> np.ndarray:
-    """Graph Laplacian L = diag(degrees) - A; symmetric PSD, rows sum to 0."""
-    a = np.asarray(adj, dtype=float)
-    return np.diag(a.sum(axis=1)) - a
-
-
 def degree_stats(adj: np.ndarray) -> DegreeStats:
     """Degree summary of a graph, including the cumulative distribution."""
     deg = np.asarray(adj).sum(axis=1).astype(int)
     max_degree = int(deg.max()) if deg.size else 0
     cumulative = np.array([float(np.mean(deg <= d)) for d in range(max_degree + 1)])
-    return DegreeStats(mean=float(deg.mean()), max_degree=max_degree, cumulative=cumulative)
+    return DegreeStats(mean=float(deg.mean()), max_degree=max_degree,
+                       cumulative=cumulative, degrees=deg)
 
 
 def diameter_hops(adj: np.ndarray) -> int:

@@ -71,8 +71,7 @@ def dense_hadamard_damage_graph(dilated: np.ndarray, n_remaining: int) -> np.nda
     return np.asarray(dilated, dtype=float) * mask
 
 
-def dense_forward_reference(matrices, features, biadjacencies, step,
-                            literal_upscale=False):
+def dense_forward_reference(matrices, features, biadjacencies, step):
     """Dense from-first-principles forward pass over the branch batch.
 
     Builds each branch kernel densely, stacks everything by explicit loops,
@@ -108,8 +107,5 @@ def dense_forward_reference(matrices, features, biadjacencies, step,
     out_blocks = []
     for i in range(branches):
         final = np.tanh(kernels[i] @ x[i] @ matrices[-1])
-        if literal_upscale:
-            out_blocks.append((scale + 1.0) * (final + center))
-        else:
-            out_blocks.append((scale + 1.0) * final + center)
+        out_blocks.append((scale + 1.0) * final + center)
     return np.vstack(out_blocks)

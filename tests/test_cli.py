@@ -97,6 +97,18 @@ class TestPipeline:
         assert run("damage", "--topology", str(tmp_path / "nope.json"),
                    "--nd", "3", "--out", str(tmp_path / "s.json")) == EXIT_CONFIG
 
+    def test_scenario_destroying_every_node_is_config_error(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        scenario = tmp_path / "scenario.json"
+        assert run("gen", "--n", "16", "--seed", "1", "--out", str(topo)) == EXIT_OK
+        scenario.write_text(json.dumps({"version": 1, "topology_ref": str(topo),
+                                        "destroyed": list(range(1, 17))}))
+        capsys.readouterr()
+        assert run("plan", "--topology", str(topo), "--scenario", str(scenario),
+                   "--method", "centering",
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        assert "remaining" in capsys.readouterr().err
+
     def test_centering_plan_needs_no_model(self, tmp_path):
         topo = tmp_path / "topo.json"
         scenario = tmp_path / "scenario.json"
@@ -133,8 +145,9 @@ class TestExperiment:
         report = tmp_path / "report"
         assert run("report", "--results", str(out / "results.json"),
                    "--out-dir", str(report)) == EXIT_OK
-        assert (report / "summary.csv").exists()
+        assert (report / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
         with open(report / "trc_vs_nd.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["method", "n_d", "mean_T", "std_T"]
         assert len(rows) == 2
+

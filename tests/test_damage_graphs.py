@@ -4,8 +4,7 @@ import pytest
 from resilinet.damage import apply_damage, build_input_graph
 from resilinet.damage_graphs import (BipartiteDamageGraph, bipartite_damage_graph,
                                      build_graph_sequence, choose_branch_count,
-                                     damage_mask, dilate_adjacency, dump_edge_lists,
-                                     sparsity_report)
+                                     dilate_adjacency, sparsity_report)
 from resilinet.swarm import build_adjacency, generate_swarm, hop_distances
 
 from _oracles import boolean_power_reachability, dense_hadamard_damage_graph
@@ -61,20 +60,6 @@ class TestDilate:
         hops, _ = path_hops(3)
         with pytest.raises(ValueError):
             dilate_adjacency(hops, 0)
-
-
-class TestDamageMask:
-    def test_small_cross_pattern(self):
-        mask = damage_mask(2, 1)
-        expected = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=bool)
-        assert np.array_equal(mask, expected)
-
-    def test_no_destroyed_means_empty(self):
-        assert not damage_mask(3, 0).any()
-
-    def test_nonzero_count(self):
-        for n_r, n_d in [(1, 1), (4, 2), (7, 5)]:
-            assert damage_mask(n_r, n_d).sum() == 2 * n_r * n_d
 
 
 class TestBipartiteDamageGraph:
@@ -231,20 +216,3 @@ class TestSparsityReport:
             )
         assert report.kernel_nnz == int(np.count_nonzero(dense))
         assert report.density == pytest.approx(np.count_nonzero(dense) / n_total ** 2)
-
-
-def test_edge_list_dump(tmp_path):
-    import json
-    graph_in = random_case(33)
-    seq = build_graph_sequence(graph_in, 2)
-    path = tmp_path / "edges.json"
-    dump_edge_lists(path, seq)
-    entries = json.loads(path.read_text())
-    assert [e["k"] for e in entries] == [1, 2]
-    n_r = seq.n_remaining
-    for entry, graph in zip(entries, seq.graphs):
-        assert len(entry["edges"]) == int(graph.biadjacency.sum())
-        for r_idx, d_idx in entry["edges"]:
-            assert 0 <= r_idx < n_r
-            assert n_r <= d_idx < seq.n
-            assert graph.biadjacency[r_idx, d_idx - n_r]

@@ -4,7 +4,7 @@ import pytest
 from resilinet.damage import DamageScenario, apply_damage, build_input_graph
 from resilinet.damage_graphs import build_graph_sequence, choose_branch_count
 from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
-                           backward, build_kernel, forward, gco_apply,
+                           backward, build_kernel, forward,
                            kernel_flow, load_model, loss_head,
                            normalize_features, per_branch_metrics, pretrain,
                            reported_loss, save_model, solve, upscale_features,
@@ -96,20 +96,22 @@ class TestKernel:
 
 
 class TestGcoApply:
+    """One graph convolution (I - step L) X W, applied as (kernel @ x) @ w."""
+
     def test_empty_graph_with_identity_weight(self):
         graph_in, seq = pair_sequence(
             [[0.0, 0.0], [100.0, 0.0], [5000.0, 0.0]], destroyed=[2],
             comm_range=120.0)
         kernel = build_kernel(seq)
         x = np.arange(6, dtype=float).reshape(3, 2)
-        assert np.allclose(gco_apply(kernel, x, np.eye(2)), x)
+        assert np.allclose((kernel @ x) @ np.eye(2), x)
 
     def test_constant_rows_pass_through(self):
         _, _, _, seq = small_case(5, branches=2)
         kernel = build_kernel(seq)
         x = np.tile([3.0, -1.0], (2 * seq.n, 1))
         w = np.random.default_rng(0).normal(size=(2, 4))
-        assert np.allclose(gco_apply(kernel, x, w), np.tile([3.0, -1.0] @ w, (2 * seq.n, 1)))
+        assert np.allclose((kernel @ x) @ w, np.tile([3.0, -1.0] @ w, (2 * seq.n, 1)))
 
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(6)
@@ -121,7 +123,7 @@ class TestGcoApply:
         dense_kernel = np.eye(6) - lap / 6.0
         x = rng.normal(size=(6, 2))
         w = rng.normal(size=(2, 3))
-        assert np.allclose(gco_apply(kernel, x, w), dense_kernel @ x @ w, atol=1e-12)
+        assert np.allclose((kernel @ x) @ w, dense_kernel @ x @ w, atol=1e-12)
 
 
 class TestForward:
@@ -168,18 +170,6 @@ class TestForward:
             [np.array(m) for m in weights.matrices], graph_in.features,
             [g.biadjacency.astype(float) for g in seq.graphs], step=1.0 / 4.0)
         assert np.allclose(out, expected, atol=1e-12)
-
-    def test_literal_upscale_shifts_by_scale_times_center(self):
-        _, _, graph_in, seq = small_case(7, branches=1)
-        kernel = build_kernel(seq)
-        weights = ModelWeights.init_scaled_uniform(8, 1, seed=5)
-        exact, _ = forward(weights, seq, kernel, TINY)
-        literal_cfg = Hyperparams(hidden_dim=8, blocks=1, dropout=0.0,
-                                  literal_upscale=True)
-        literal, _ = forward(weights, seq, kernel, literal_cfg)
-        _, center, scale = normalize_features(graph_in.features)
-        assert np.allclose(literal - exact, np.tile(scale * center,
-                                                    (exact.shape[0], 1)))
 
     def test_shape_mismatch_is_structural_error(self):
         _, _, _, seq = small_case(7, branches=1)
@@ -289,6 +279,15 @@ class TestAdam:
 
 
 class TestKernelFlow:
+    def test_step_is_checked_against_the_whole_batch(self):
+        _, _, graph_in, seq = small_case(13, branches=2)
+        degree = [g.full_adjacency().sum(axis=1).max() for g in seq.graphs]
+        assert degree[0] < degree[1]
+        with pytest.raises(ValueError, match="contraction bound"):
+            kernel_flow(seq, 1, graph_in.features, steps=1, step_size=1.0 / degree[0])
+        with pytest.raises(ValueError, match="branch"):
+            kernel_flow(seq, 3, graph_in.features, steps=1)
+
     def test_two_node_average_in_one_step(self):
         graph_in, seq = pair_sequence([[0.0, 0.0], [2.0, 0.0]], destroyed=[1],
                                       comm_range=5.0)

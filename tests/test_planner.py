@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,17 @@ class TestPlanFile:
         assert loaded.method == plan.method
         assert loaded.planned_time == pytest.approx(plan.planned_time)
         assert np.allclose(loaded.targets, plan.targets)
+
+    @pytest.mark.parametrize("targets", [[[0.0, float("nan")], [1.0, 2.0]],
+                                         [[0.0, float("inf")]],
+                                         [[1.0, 2.0, 3.0]], [1.0, 2.0], []],
+                             ids=["nan", "inf", "three_columns", "flat", "empty"])
+    def test_rejects_malformed_targets(self, tmp_path, targets):
+        path = tmp_path / "plan.json"
+        save_plan(path, plan_centering(square_topology(), DamageScenario(
+            destroyed=np.array([3]), remaining=np.array([0, 1, 2]))))
+        payload = json.loads(path.read_text())
+        payload["targets"] = targets
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="targets"):
+            load_plan(path)

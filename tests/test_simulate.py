@@ -11,7 +11,7 @@ from resilinet.simulate import (ExperimentSpec, SUMMARY_COLUMNS, TRIAL_COLUMNS,
                                 derive_trial_seeds, export_results,
                                 results_to_dict, run_experiment,
                                 simulate_recovery)
-from resilinet.swarm import generate_swarm
+from resilinet.swarm import build_adjacency, generate_swarm
 
 
 def still_plan(start):
@@ -51,6 +51,8 @@ class TestSimulateRecovery:
                                     t_max=1e9)
             assert sim.first_connected_s is not None
             assert sim.first_connected_s <= plan.planned_time + 0.1 + 1e-9
+            final_adjacency = build_adjacency(sim.final_positions, topo.comm_range)
+            assert np.array_equal(sim.degree.degrees, final_adjacency.sum(axis=1))
 
     def test_series_continues_to_plan_completion(self):
         start = np.array([[0.0, 0.0], [100.0, 0.0], [230.0, 0.0]])

@@ -1,13 +1,12 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
 from resilinet.swarm import (GenerationError, SwarmTopology, build_adjacency,
                              count_subnets, degree_stats, diameter_hops,
-                             friis_range, generate_swarm, hop_distances,
-                             laplacian, load_topology, save_topology)
+                             generate_swarm, hop_distances, load_topology,
+                             save_topology)
 
 from _oracles import bfs_hops_single, eigencount_components, floyd_warshall_hops
 
@@ -30,41 +29,6 @@ def path_adjacency(n):
     for i in range(n - 1):
         adj[i, i + 1] = adj[i + 1, i] = True
     return adj
-
-
-class TestFriisRange:
-    def test_algebraic_identity(self):
-        # power product equal to the sensitivity collapses to wavelength/(4 pi)
-        assert friis_range(2.0, 0.5, 1.0, 0.3, 1.0) == pytest.approx(0.3 / (4 * math.pi))
-
-    def test_quadrupling_power_doubles_range(self):
-        base = friis_range(1.0, 1.0, 1.0, 0.125, 1e-8)
-        assert friis_range(4.0, 1.0, 1.0, 0.125, 1e-8) == pytest.approx(2 * base)
-
-    def test_reference_link_budget(self):
-        # independent oracle: bisect the received-power condition for the range
-        wavelength, power_ratio = 0.125, 1.456e8
-
-        def received_over_sensitivity(d):
-            return power_ratio * (wavelength / (4 * math.pi * d)) ** 2
-
-        lo, hi = 1.0, 1e4
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if received_over_sensitivity(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        expected = 0.5 * (lo + hi)
-        result = friis_range(power_ratio, 1.0, 1.0, wavelength, 1.0)
-        assert result == pytest.approx(expected, rel=1e-9)
-        assert result == pytest.approx(120.0275, abs=1e-3)
-        assert round(result, 1) == 120.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_rejects_non_positive_inputs(self, bad):
-        with pytest.raises(ValueError):
-            friis_range(bad, 1.0, 1.0, 0.125, 1.0)
 
 
 class TestBuildAdjacency:
@@ -160,30 +124,6 @@ class TestCountSubnets:
             assert count_subnets(adj) == eigencount_components(adj)
 
 
-class TestLaplacian:
-    def test_single_edge(self):
-        adj = np.array([[False, True], [True, False]])
-        assert np.array_equal(laplacian(adj), [[1.0, -1.0], [-1.0, 1.0]])
-
-    def test_empty_graph(self):
-        assert np.array_equal(laplacian(np.zeros((3, 3), dtype=bool)), np.zeros((3, 3)))
-
-    def test_triangle(self):
-        adj = np.ones((3, 3), dtype=bool)
-        np.fill_diagonal(adj, False)
-        expected = 3 * np.eye(3) - np.ones((3, 3))
-        assert np.array_equal(laplacian(adj), expected)
-
-    def test_rows_sum_to_zero_and_psd(self):
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(0, 500, size=(20, 2))
-        lap = laplacian(build_adjacency(pts, 130.0))
-        assert np.array_equal(lap.sum(axis=1), np.zeros(20))
-        for _ in range(100):
-            x = rng.normal(size=20)
-            assert x @ lap @ x >= -1e-9
-
-
 class TestDegreeStats:
     def test_triangle(self):
         adj = np.ones((3, 3), dtype=bool)
@@ -200,6 +140,7 @@ class TestDegreeStats:
         stats = degree_stats(adj)
         assert stats.mean == pytest.approx(1.5)
         assert stats.max_degree == 3
+        assert np.array_equal(stats.degrees, [3, 1, 1, 1])
 
     def test_empty_graph(self):
         stats = degree_stats(np.zeros((4, 4), dtype=bool))
