@@ -24,7 +24,8 @@ from .planner import (METHOD_CENTERING, METHOD_LEARNED, load_plan, plan_centerin
                       plan_learned, save_plan, verify_plan)
 from .simulate import (ExperimentSpec, export_results, run_experiment,
                        simulate_recovery, write_summary_csv)
-from .swarm import GenerationError, generate_swarm, load_topology, save_topology
+from .swarm import (GenerationError, generate_swarm, load_topology, require_fields,
+                    save_topology)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,13 +239,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         payload = json.loads(Path(args.results).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read results file: {exc}") from exc
+    require_fields(payload, "results file", ("summary",))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(out / "summary.csv", payload.get("summary", []))
+    write_summary_csv(out / "summary.csv", payload["summary"])
     with open(out / "trc_vs_nd.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "n_d", "mean_T", "std_T"])
-        for s in payload.get("summary", []):
+        for s in payload["summary"]:
             writer.writerow([
                 s["method"], s["n_d"],
                 "" if s["mean_T"] is None else repr(float(s["mean_T"])),

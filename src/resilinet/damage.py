@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .swarm import SwarmTopology, count_subnets
+from .swarm import SwarmTopology, count_subnets, read_payload
 
 SCENARIO_VERSION = 1
 
@@ -132,9 +132,7 @@ def save_scenario(path: str | Path, scenario: DamageScenario, topology_ref: str 
 
 
 def load_scenario(path: str | Path, n: int) -> DamageScenario:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != SCENARIO_VERSION:
-        raise ValueError(f"unsupported scenario file version: {payload.get('version')!r}")
+    payload = read_payload(path, "scenario", SCENARIO_VERSION, ("destroyed",))
     destroyed = np.asarray(payload["destroyed"], dtype=int) - 1
     if destroyed.size and (destroyed.min() < 0 or destroyed.max() >= n):
         raise ValueError("scenario file indices out of range for this topology")

@@ -28,7 +28,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .damage import InputGraph, apply_damage, build_input_graph
 from .damage_graphs import DamageGraphSequence, build_graph_sequence, choose_branch_count
-from .swarm import build_adjacency, component_labels, count_subnets, diameter_hops, generate_swarm
+from .swarm import (_pairwise_sq_distances, build_adjacency, component_labels, count_subnets,
+                    diameter_hops, generate_swarm, read_payload)
 
 MODEL_VERSION = 1
 
@@ -351,8 +352,7 @@ def _component_gap_gradient(targets: np.ndarray, n_comp: int, labels: np.ndarray
     if n_comp <= 1:
         return 0.0
     members = [np.flatnonzero(labels == c) for c in range(n_comp)]
-    delta = targets[:, None, :] - targets[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
+    dist = np.sqrt(_pairwise_sq_distances(targets))
 
     comp_dist = np.zeros((n_comp, n_comp))
     closest: dict[tuple[int, int], tuple[int, int]] = {}
@@ -683,9 +683,7 @@ def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
 
 
 def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model file version: {payload.get('version')!r}")
+    payload = read_payload(path, "model", MODEL_VERSION, ("d_s", "L", "shapes", "weights"))
     mats = []
     for shape, blob in zip(payload["shapes"], payload["weights"]):
         raw = np.frombuffer(base64.b64decode(blob), dtype="<f8")

@@ -18,7 +18,8 @@ import numpy as np
 from .damage import DamageScenario, build_input_graph
 from .damage_graphs import build_graph_sequence, choose_branch_count
 from .gcn import Hyperparams, ModelWeights, build_kernel, solve
-from .swarm import SwarmTopology, build_adjacency, count_subnets, diameter_hops
+from .swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_hops,
+                    read_payload)
 
 PLAN_VERSION = 1
 
@@ -113,9 +114,8 @@ def save_plan(path: str | Path, plan: RecoveryPlan, scenario_ref: str = "") -> N
 
 
 def load_plan(path: str | Path) -> RecoveryPlan:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != PLAN_VERSION:
-        raise ValueError(f"unsupported plan file version: {payload.get('version')!r}")
+    payload = read_payload(path, "plan", PLAN_VERSION,
+                           ("method", "targets", "planned_T_rc_s"))
     targets = np.asarray(payload["targets"], dtype=float)
     if targets.ndim != 2 or targets.shape[1] != 2 or not np.all(np.isfinite(targets)):
         raise ValueError("plan file field 'targets' must be a finite (m, 2) array")

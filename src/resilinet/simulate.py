@@ -28,7 +28,7 @@ from .gcn import Hyperparams, ModelWeights
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, RecoveryPlan,
                       plan_centering, plan_learned, verify_plan)
 from .swarm import (DegreeStats, GenerationError, build_adjacency, count_subnets,
-                    degree_stats, generate_swarm)
+                    degree_stats, generate_swarm, require_fields)
 
 RESULTS_VERSION = 1
 
@@ -367,7 +367,12 @@ def results_to_dict(results: ExperimentResults) -> dict:
 
 
 def write_summary_csv(path: str | Path, summary_rows: list[dict]) -> None:
-    """Summary CSV from the ``results_to_dict(...)["summary"]`` rows."""
+    """Summary CSV from the ``results_to_dict(...)["summary"]`` rows.
+
+    Every row is checked for all ``SUMMARY_COLUMNS`` before the file is opened.
+    """
+    for row in summary_rows:
+        require_fields(row, "results summary row", SUMMARY_COLUMNS)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,12 +77,20 @@ def build_adjacency(positions: np.ndarray, comm_range: float) -> np.ndarray:
     """
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
-    pos = np.asarray(positions, dtype=float)
-    delta = pos[:, None, :] - pos[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", delta, delta)
-    adj = dist_sq <= comm_range * comm_range
+    adj = _pairwise_sq_distances(positions) <= comm_range * comm_range
     np.fill_diagonal(adj, False)
     return adj
+
+
+def _pairwise_sq_distances(positions: np.ndarray) -> np.ndarray:
+    """(n, n) squared distances, dx*dx + dy*dy, without an (n, n, 2) tensor."""
+    pos = np.asarray(positions, dtype=float)
+    dist_sq = np.subtract.outer(pos[:, 0], pos[:, 0])
+    np.multiply(dist_sq, dist_sq, out=dist_sq)
+    dy = np.subtract.outer(pos[:, 1], pos[:, 1])
+    np.multiply(dy, dy, out=dy)
+    dist_sq += dy
+    return dist_sq
 
 
 def generate_swarm(n: int, density_per_km2: float, comm_range: float,
@@ -112,17 +121,29 @@ def generate_swarm(n: int, density_per_km2: float, comm_range: float,
     )
 
 
+def _csr_graph(adj: np.ndarray) -> csr_matrix:
+    """CSR form of a dense adjacency, built directly from its nonzero pattern.
+
+    Row-major order gives each row's column indices already sorted.  The
+    data are float64 ones, the dtype the csgraph routines work in, so they
+    copy nothing.
+    """
+    a = np.asarray(adj, dtype=bool)
+    n = a.shape[0]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(a.sum(axis=1), out=indptr[1:])
+    indices = (np.flatnonzero(a) % n).astype(np.int32)
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+
 def hop_distances(adj: np.ndarray) -> np.ndarray:
     """All-pairs minimum hop counts; unreachable pairs are ``inf``."""
-    a = np.asarray(adj)
-    graph = csr_matrix(a.astype(np.int8))
-    return shortest_path(graph, method="D", directed=False, unweighted=True)
+    return shortest_path(_csr_graph(adj), method="D", directed=False, unweighted=True)
 
 
 def component_labels(adj: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of an undirected adjacency: (count, labels)."""
-    a = np.asarray(adj)
-    count, labels = connected_components(csr_matrix(a.astype(np.int8)), directed=False)
+    count, labels = connected_components(_csr_graph(adj), directed=False)
     return int(count), labels
 
 
@@ -160,10 +181,28 @@ def save_topology(path: str | Path, topology: SwarmTopology) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def load_topology(path: str | Path) -> SwarmTopology:
+def require_fields(payload: object, kind: str, fields: Iterable[str]) -> None:
+    """Raise ValueError naming ``kind`` and the first of ``fields`` it lacks."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} must be a JSON object")
+    for field in fields:
+        if field not in payload:
+            raise ValueError(f"{kind} lacks required field {field!r}")
+
+
+def read_payload(path: str | Path, kind: str, version: int, fields: Iterable[str]) -> dict:
+    """JSON object of a ``kind`` file with the given version and required fields."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("version") != TOPOLOGY_VERSION:
-        raise ValueError(f"unsupported topology file version: {payload.get('version')!r}")
+    require_fields(payload, f"{kind} file", ("version",))
+    if payload["version"] != version:
+        raise ValueError(f"unsupported {kind} file version: {payload['version']!r}")
+    require_fields(payload, f"{kind} file", fields)
+    return payload
+
+
+def load_topology(path: str | Path) -> SwarmTopology:
+    payload = read_payload(path, "topology", TOPOLOGY_VERSION,
+                           ("positions", "n", "d_tr_m", "side_m"))
     positions = np.asarray(payload["positions"], dtype=float)
     if positions.shape[0] != payload["n"]:
         raise ValueError("topology file is inconsistent: n does not match positions")

@@ -1,11 +1,35 @@
 """Independent reference implementations used only as test oracles.
 
 Everything here is deliberately written from first principles (dense numpy,
-explicit loops) and shares no code path with the package under test.
+explicit loops) or in an older, plainer form of a package routine, and
+shares no code path with the package under test.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+
+def einsum_sq_distances(positions: np.ndarray) -> np.ndarray:
+    """Squared pairwise distances through an (n, n, 2) difference tensor."""
+    pos = np.asarray(positions, dtype=float)
+    delta = pos[:, None, :] - pos[None, :, :]
+    return np.einsum("ijk,ijk->ij", delta, delta)
+
+
+def einsum_adjacency(positions: np.ndarray, comm_range: float) -> np.ndarray:
+    """Disk-model adjacency from the (n, n, 2) tensor form of the distances."""
+    adj = einsum_sq_distances(positions) <= comm_range * comm_range
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def int8_csr_component_labels(adj: np.ndarray) -> tuple[int, np.ndarray]:
+    """Components through scipy's own dense-to-CSR conversion of an int8 copy."""
+    count, labels = connected_components(csr_matrix(np.asarray(adj).astype(np.int8)),
+                                         directed=False)
+    return int(count), labels
 
 
 def floyd_warshall_hops(adj: np.ndarray) -> np.ndarray:

@@ -151,3 +151,20 @@ class TestExperiment:
         assert rows[0] == ["method", "n_d", "mean_T", "std_T"]
         assert len(rows) == 2
 
+    def test_report_rejects_summary_row_missing_a_column(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"summary": [{"method": "centering"}]}))
+        capsys.readouterr()
+        assert run("report", "--results", str(results),
+                   "--out-dir", str(tmp_path / "report")) == EXIT_CONFIG
+        assert "lacks required field 'n'" in capsys.readouterr().err
+        assert not (tmp_path / "report" / "summary.csv").exists()
+
+    def test_damage_on_topology_missing_a_field(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"version": 1, "n": 3}))
+        capsys.readouterr()
+        assert run("damage", "--topology", str(topo), "--nd", "1",
+                   "--out", str(tmp_path / "s.json")) == EXIT_CONFIG
+        assert "topology file lacks required field 'positions'" in capsys.readouterr().err
+

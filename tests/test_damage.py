@@ -141,3 +141,10 @@ class TestScenarioFile:
                                     "destroyed": [99]}))
         with pytest.raises(ValueError):
             load_scenario(path, 10)
+
+    def test_rejects_missing_destroyed(self, tmp_path):
+        import json
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "topology_ref": ""}))
+        with pytest.raises(ValueError, match="scenario file lacks required field 'destroyed'"):
+            load_scenario(path, 10)

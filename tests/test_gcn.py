@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,16 @@ class TestPretrain:
         assert loaded.hidden_dim == 8 and loaded.blocks == 2
         for a, b in zip(result.weights.matrices, loaded.matrices):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("field", ["d_s", "L", "shapes", "weights"])
+    def test_model_file_rejects_missing_field(self, tmp_path, field):
+        path = tmp_path / "model.json"
+        save_model(path, ModelWeights.init_scaled_uniform(4, 1, seed=0), init_seed=0)
+        payload = json.loads(path.read_text())
+        del payload[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"model file lacks required field '{field}'"):
+            load_model(path)
 
     def test_loss_curve_csv(self, tmp_path):
         config = Hyperparams(hidden_dim=8, blocks=1, pretrain_iters=3,

@@ -130,3 +130,14 @@ class TestPlanFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="targets"):
             load_plan(path)
+
+    @pytest.mark.parametrize("field", ["method", "targets", "planned_T_rc_s"])
+    def test_rejects_missing_field(self, tmp_path, field):
+        path = tmp_path / "plan.json"
+        save_plan(path, plan_centering(square_topology(), DamageScenario(
+            destroyed=np.array([3]), remaining=np.array([0, 1, 2]))))
+        payload = json.loads(path.read_text())
+        del payload[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"plan file lacks required field '{field}'"):
+            load_plan(path)

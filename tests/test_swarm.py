@@ -2,13 +2,46 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from resilinet.swarm import (GenerationError, SwarmTopology, build_adjacency,
-                             count_subnets, degree_stats, diameter_hops,
-                             generate_swarm, hop_distances, load_topology,
-                             save_topology)
+from resilinet.swarm import (GenerationError, SwarmTopology, _pairwise_sq_distances,
+                             build_adjacency, component_labels, count_subnets,
+                             degree_stats, diameter_hops, generate_swarm,
+                             hop_distances, load_topology, save_topology)
 
-from _oracles import bfs_hops_single, eigencount_components, floyd_warshall_hops
+from _oracles import (bfs_hops_single, eigencount_components, einsum_adjacency,
+                      einsum_sq_distances, floyd_warshall_hops,
+                      int8_csr_component_labels)
+
+# Integer-valued coordinates make exact boundary pairs and duplicates likely.
+COORDS = st.one_of(st.integers(-60, 60).map(float),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def disk_cases(draw):
+    """(positions, comm_range) with one pair exactly at 5k and duplicate points."""
+    pts = draw(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=20))
+    k = draw(st.integers(1, 12))
+    comm_range = draw(st.one_of(st.just(5.0 * k), st.floats(1e-3, 2e3)))
+    x, y = draw(st.sampled_from(pts))
+    # A 3-4-5 triangle: distance exactly 5k whenever the sums are exact.
+    pts.append((x + 3.0 * k, y + 4.0 * k))
+    pts.extend(draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3)))
+    return np.array(pts), comm_range
+
+
+@st.composite
+def edge_graphs(draw):
+    """Symmetric 0/1 adjacency from a random edge list, as bool or int."""
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        if i != j:
+            adj[i, j] = adj[j, i] = True
+    return adj.astype(np.int64) if draw(st.booleans()) else adj
 
 
 def grid_adjacency(rows, cols):
@@ -33,8 +66,8 @@ def path_adjacency(n):
 
 class TestBuildAdjacency:
     def test_boundary_distance_is_connected(self):
-        adj = build_adjacency(np.array([[0.0, 0.0], [120.0, 0.0]]), 120.0)
-        assert adj[0, 1] and adj[1, 0]
+        adj = build_adjacency(np.array([[0.0, 0.0], [120.0, 0.0], [120.0, 0.0]]), 120.0)
+        assert adj[0, 1] and adj[1, 0] and adj[1, 2]
 
     def test_just_past_boundary_is_not(self):
         adj = build_adjacency(np.array([[0.0, 0.0], [120.01, 0.0]]), 120.0)
@@ -52,6 +85,19 @@ class TestBuildAdjacency:
             adj = build_adjacency(pts, 120.0)
             assert np.array_equal(adj, adj.T)
             assert not adj.diagonal().any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(disk_cases())
+    @example((np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]]), 5.0))
+    @example((np.array([[1.5, -2.0]]), 1.0))
+    def test_matches_einsum_reference_bytewise(self, case):
+        pts, comm_range = case
+        got = build_adjacency(pts, comm_range)
+        ref = einsum_adjacency(pts, comm_range)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        sq = _pairwise_sq_distances(pts)
+        assert sq.tobytes() == einsum_sq_distances(pts).tobytes()
 
 
 class TestGenerateSwarm:
@@ -92,6 +138,11 @@ class TestHopDistances:
         adj = np.zeros((2, 2), dtype=bool)
         assert np.isinf(hop_distances(adj)[0, 1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(edge_graphs())
+    def test_random_graphs_agree_with_floyd_warshall(self, adj):
+        assert np.array_equal(hop_distances(adj), floyd_warshall_hops(adj))
+
     def test_grid_corner_to_corner(self):
         adj = grid_adjacency(5, 5)
         hops = hop_distances(adj)
@@ -122,6 +173,27 @@ class TestCountSubnets:
             pts = rng.uniform(0, 600, size=(n, 2))
             adj = build_adjacency(pts, 120.0)
             assert count_subnets(adj) == eigencount_components(adj)
+
+
+class TestComponentLabels:
+    def check_against_references(self, adj):
+        count, labels = component_labels(adj)
+        ref_count, ref_labels = int8_csr_component_labels(adj)
+        assert count == ref_count == eigencount_components(adj)
+        assert labels.dtype == ref_labels.dtype
+        assert np.array_equal(labels, ref_labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_graphs())
+    @example(np.zeros((1, 1), dtype=bool))
+    @example(np.zeros((5, 5), dtype=np.int64))
+    def test_matches_int8_csr_reference(self, adj):
+        self.check_against_references(adj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(disk_cases())
+    def test_disk_graphs_match_reference(self, case):
+        self.check_against_references(build_adjacency(*case))
 
 
 class TestDegreeStats:
@@ -195,6 +267,22 @@ class TestTopologyFile:
                    "positions": [[0, 0], [1, 1]]}
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
+            load_topology(path)
+
+    @pytest.mark.parametrize("field", ["positions", "n", "d_tr_m", "side_m"])
+    def test_rejects_missing_field(self, tmp_path, field):
+        path = tmp_path / "topo.json"
+        save_topology(path, generate_swarm(6, 200.0, 120.0, seed=1))
+        payload = json.loads(path.read_text())
+        del payload[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"topology file lacks required field '{field}'"):
+            load_topology(path)
+
+    def test_rejects_non_object(self, tmp_path):
+        path = tmp_path / "topo.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="topology file must be a JSON object"):
             load_topology(path)
 
     def test_topology_validation(self):
