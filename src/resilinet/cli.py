@@ -11,7 +11,7 @@ failure, 4 training divergence.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import os
 import sys
@@ -25,7 +25,7 @@ from .planner import (METHOD_CENTERING, METHOD_LEARNED, load_plan, plan_centerin
 from .simulate import (ExperimentSpec, export_results, run_experiment,
                        simulate_recovery, write_summary_csv)
 from .swarm import (GenerationError, generate_swarm, load_topology, require_fields,
-                    save_topology)
+                    save_topology, write_csv, write_payload)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,6 +40,9 @@ DEFAULTS = {
     "step_s": 0.1,
     "seed": 0,
 }
+# The config file's "hyper" object; max_speed is a top-level option.
+HYPER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Hyperparams)
+                  if f.name != "max_speed"}
 
 
 class ConfigError(ValueError):
@@ -55,6 +58,18 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config file must contain a JSON object")
+    hyper = payload.get("hyper", {})
+    if not isinstance(hyper, dict):
+        raise ConfigError("config key 'hyper' must be a JSON object")
+    for key in hyper:
+        if key not in HYPER_DEFAULTS:
+            raise ConfigError(f"unknown config key 'hyper.{key}' "
+                              f"(known: {', '.join(sorted(HYPER_DEFAULTS))})")
+    # Every numeric option must have the JSON type of its default.
+    kinds = {key: "integer" if isinstance(default, int) else "number"
+             for key, default in {**DEFAULTS, **HYPER_DEFAULTS}.items()}
+    require_fields(payload, "config file", {k: kinds[k] for k in DEFAULTS if k in payload})
+    require_fields(hyper, "config key 'hyper'", {k: kinds[k] for k in hyper})
     return payload
 
 
@@ -77,8 +92,7 @@ def _seed(args: argparse.Namespace, config: dict) -> int:
 
 def _hyper(args: argparse.Namespace, config: dict, max_speed: float) -> Hyperparams:
     hyper_cfg = dict(config.get("hyper", {}))
-    for key in ("hidden_dim", "blocks", "pretrain_iters", "online_iters",
-                "dropout", "lagrange_s", "learning_rate"):
+    for key in HYPER_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             hyper_cfg[key] = value
@@ -176,7 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     t_max = args.t_max if args.t_max is not None else topology.side / (2 * max_speed)
     start = topology.positions[scenario.remaining]
     sim = simulate_recovery(start, plan, max_speed, step_s, topology.comm_range, t_max)
-    payload = {
+    write_payload(args.out, {
         "version": 1,
         "plan_ref": str(args.plan),
         "converged": sim.converged,
@@ -185,14 +199,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "mean_degree": sim.degree.mean,
         "max_degree": sim.degree.max_degree,
         "n_subnets_series": [int(v) for v in sim.subnet_series],
-    }
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    })
     if args.series:
-        with open(args.series, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "t_s", "n_subnets"])
-            for step, ns in enumerate(sim.subnet_series):
-                writer.writerow([step, repr(step * step_s), int(ns)])
+        write_csv(args.series, ["step", "t_s", "n_subnets"],
+                  ([step, step * step_s, ns]
+                   for step, ns in enumerate(sim.subnet_series.tolist())))
     measured = "none" if sim.first_connected_s is None else f"{sim.first_connected_s:.2f} s"
     print(f"simulated: converged={sim.converged} measured_T={measured} -> {args.out}")
     return EXIT_OK
@@ -235,23 +246,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        payload = json.loads(Path(args.results).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read results file: {exc}") from exc
-    require_fields(payload, "results file", ("summary",))
+    payload = json.loads(Path(args.results).read_text())
+    require_fields(payload, "results file", {"summary": "list"})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(out / "summary.csv", payload["summary"])
-    with open(out / "trc_vs_nd.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "n_d", "mean_T", "std_T"])
-        for s in payload["summary"]:
-            writer.writerow([
-                s["method"], s["n_d"],
-                "" if s["mean_T"] is None else repr(float(s["mean_T"])),
-                "" if s["std_T"] is None else repr(float(s["std_T"])),
-            ])
+    write_csv(out / "trc_vs_nd.csv", ["method", "n_d", "mean_T", "std_T"], (
+        [s["method"], s["n_d"],
+         *(None if s[key] is None else float(s[key]) for key in ("mean_T", "std_T"))]
+        for s in payload["summary"]
+    ))
     print(f"wrote report -> {out}")
     return EXIT_OK
 
@@ -339,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (GenerationError, DamageError) as exc:

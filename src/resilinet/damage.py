@@ -7,13 +7,12 @@ which is the layout every downstream stage relies on.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .swarm import SwarmTopology, count_subnets, read_payload
+from .swarm import SwarmTopology, count_subnets, read_payload, write_payload
 
 SCENARIO_VERSION = 1
 
@@ -123,16 +122,15 @@ def build_input_graph(topology: SwarmTopology, scenario: DamageScenario) -> Inpu
 
 def save_scenario(path: str | Path, scenario: DamageScenario, topology_ref: str = "") -> None:
     """Write a scenario JSON file; destroyed indices are stored 1-based."""
-    payload = {
+    write_payload(path, {
         "version": SCENARIO_VERSION,
         "topology_ref": topology_ref,
         "destroyed": [int(i) + 1 for i in scenario.destroyed],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    })
 
 
 def load_scenario(path: str | Path, n: int) -> DamageScenario:
-    payload = read_payload(path, "scenario", SCENARIO_VERSION, ("destroyed",))
+    payload = read_payload(path, "scenario", SCENARIO_VERSION, {"destroyed": "list"})
     destroyed = np.asarray(payload["destroyed"], dtype=int) - 1
     if destroyed.size and (destroyed.min() < 0 or destroyed.max() >= n):
         raise ValueError("scenario file indices out of range for this topology")

@@ -17,8 +17,6 @@ optimizer is a plain Adam.
 from __future__ import annotations
 
 import base64
-import csv
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,7 +27,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from .damage import InputGraph, apply_damage, build_input_graph
 from .damage_graphs import DamageGraphSequence, build_graph_sequence, choose_branch_count
 from .swarm import (_pairwise_sq_distances, build_adjacency, component_labels, count_subnets,
-                    diameter_hops, generate_swarm, read_payload)
+                    diameter_hops, generate_swarm, read_payload, write_csv, write_payload)
 
 MODEL_VERSION = 1
 
@@ -42,24 +40,17 @@ class TrainingDivergence(RuntimeError):
 class Hyperparams:
     """Network and training knobs; defaults match the reference experiments.
 
-    ``kernel_step`` of None resolves to 1/n at kernel build time, which
-    always satisfies the contraction condition step <= 1/max_degree.
-    ``gap_penalty`` of None resolves to lagrange_s / comm_range, i.e. one
-    full penalty unit per communication range of residual component gap.
+    The kernel step is always 1/n (``build_kernel``'s default), and Adam uses
+    the standard betas 0.9 and 0.999 and epsilon 1e-8.
     """
 
     hidden_dim: int = 512
     blocks: int = 3
-    kernel_step: float | None = None
     lagrange_s: float = 100.0
-    gap_penalty: float | None = None
     learning_rate: float = 1e-4
     dropout: float = 0.1
     pretrain_iters: int = 500
     online_iters: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_speed: float = 10.0
     branch_cap: int = 12
 
@@ -68,13 +59,12 @@ class Hyperparams:
             raise ValueError("hidden_dim and blocks must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.kernel_step is not None and self.kernel_step <= 0:
-            raise ValueError("kernel_step must be positive")
         if self.online_iters < 1 or self.pretrain_iters < 1:
             raise ValueError("iteration counts must be at least 1")
 
     def resolve_gap_penalty(self, comm_range: float) -> float:
-        return self.lagrange_s / comm_range if self.gap_penalty is None else self.gap_penalty
+        """One full penalty unit per communication range of residual component gap."""
+        return self.lagrange_s / comm_range
 
 
 @dataclass(frozen=True)
@@ -453,7 +443,7 @@ def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
               config: Hyperparams) -> tuple[ModelWeights, AdamState]:
     """Standard Adam update with bias correction; deterministic given state."""
     t = state.step + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     new_mats, new_m, new_v = [], [], []
     for w, g, m, v in zip(weights.matrices, grads, state.first_moment,
                           state.second_moment):
@@ -461,7 +451,7 @@ def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        new_mats.append(w - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps))
+        new_mats.append(w - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
         new_m.append(m)
         new_v.append(v)
     return (
@@ -519,7 +509,7 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     input_graph = build_input_graph(topology, scenario)
     branches = choose_branch_count(diameter_hops(input_graph.adjacency), config.branch_cap)
     seq = build_graph_sequence(input_graph, branches)
-    kernel = build_kernel(seq, config.kernel_step)
+    kernel = build_kernel(seq)
 
     weights = ModelWeights.init_scaled_uniform(config.hidden_dim, config.blocks, init_seed)
     state = AdamState.zeros(weights)
@@ -663,7 +653,7 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
 def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
                metadata: dict | None = None) -> None:
     """Persist weights as canonical JSON (row-major float64, base64 payload)."""
-    payload = {
+    write_payload(path, {
         "version": MODEL_VERSION,
         "n": (metadata or {}).get("n"),
         "d_s": weights.hidden_dim,
@@ -678,12 +668,12 @@ def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
         ],
         "init_seed": init_seed,
         "metadata": metadata or {},
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    })
 
 
 def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
-    payload = read_payload(path, "model", MODEL_VERSION, ("d_s", "L", "shapes", "weights"))
+    payload = read_payload(path, "model", MODEL_VERSION, {"d_s": "integer", "L": "integer",
+                                                          "shapes": "list", "weights": "list"})
     mats = []
     for shape, blob in zip(payload["shapes"], payload["weights"]):
         raw = np.frombuffer(base64.b64decode(blob), dtype="<f8")
@@ -696,15 +686,7 @@ def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
 
 def write_loss_curve(path: str | Path, curve: tuple[CurvePoint, ...]) -> None:
     """CSV of the training curve: one row per iteration."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "reported_loss", "surrogate_loss",
-                         "best_T_rc", "feasible_flag"])
-        for point in curve:
-            writer.writerow([
-                point.iteration,
-                repr(point.reported_loss),
-                repr(point.surrogate_loss),
-                "" if point.best_flight_time is None else repr(point.best_flight_time),
-                int(point.feasible),
-            ])
+    write_csv(path, ["iteration", "reported_loss", "surrogate_loss", "best_T_rc",
+                     "feasible_flag"],
+              ([p.iteration, p.reported_loss, p.surrogate_loss, p.best_flight_time,
+                p.feasible] for p in curve))

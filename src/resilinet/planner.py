@@ -9,7 +9,6 @@ range, so downstream simulation always recovers.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .damage import DamageScenario, build_input_graph
 from .damage_graphs import build_graph_sequence, choose_branch_count
 from .gcn import Hyperparams, ModelWeights, build_kernel, solve
 from .swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_hops,
-                    read_payload)
+                    read_payload, write_payload)
 
 PLAN_VERSION = 1
 
@@ -74,7 +73,7 @@ def plan_learned(topology: SwarmTopology, scenario: DamageScenario,
         diameter_hops(input_graph.adjacency), config.branch_cap
     )
     seq = build_graph_sequence(input_graph, branches)
-    kernel = build_kernel(seq, config.kernel_step)
+    kernel = build_kernel(seq)
     solution = solve(input_graph, seq, kernel, weights, topology.comm_range,
                      config, seed=seed)
 
@@ -102,20 +101,19 @@ def verify_plan(plan: RecoveryPlan, comm_range: float) -> bool:
 
 
 def save_plan(path: str | Path, plan: RecoveryPlan, scenario_ref: str = "") -> None:
-    payload = {
+    write_payload(path, {
         "version": PLAN_VERSION,
         "scenario_ref": scenario_ref,
         "method": plan.method,
         "k_star": plan.k_star,
         "targets": [[float(x), float(y)] for x, y in plan.targets],
         "planned_T_rc_s": float(plan.planned_time),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    })
 
 
 def load_plan(path: str | Path) -> RecoveryPlan:
     payload = read_payload(path, "plan", PLAN_VERSION,
-                           ("method", "targets", "planned_T_rc_s"))
+                           {"method": "string", "targets": "list", "planned_T_rc_s": "number"})
     targets = np.asarray(payload["targets"], dtype=float)
     if targets.ndim != 2 or targets.shape[1] != 2 or not np.all(np.isfinite(targets)):
         raise ValueError("plan file field 'targets' must be a finite (m, 2) array")

@@ -14,8 +14,6 @@ seeds reproduces every number exactly.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +26,8 @@ from .gcn import Hyperparams, ModelWeights
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, RecoveryPlan,
                       plan_centering, plan_learned, verify_plan)
 from .swarm import (DegreeStats, GenerationError, build_adjacency, count_subnets,
-                    degree_stats, generate_swarm, require_fields)
+                    degree_stats, generate_swarm, require_fields, write_csv,
+                    write_payload)
 
 RESULTS_VERSION = 1
 
@@ -39,6 +38,8 @@ TRIAL_COLUMNS = [
 SUMMARY_COLUMNS = [
     "method", "n", "n_d", "R_c", "mean_T", "std_T", "mean_deg", "max_deg",
 ]
+_SUMMARY_FIELDS = {"method": "string", "n": "number", "n_d": "number",
+                  **{c: "number or null" for c in SUMMARY_COLUMNS[3:]}}
 
 
 @dataclass(frozen=True)
@@ -316,18 +317,6 @@ def run_experiment(spec: ExperimentSpec, weights: ModelWeights | None = None,
     return ExperimentResults(spec=spec, trials=tuple(trials), summary=tuple(summary))
 
 
-def _trial_row(t: TrialRecord) -> list:
-    return [
-        t.method, t.n, t.n_d, t.seed, int(t.converged),
-        "" if t.measured_s is None else repr(float(t.measured_s)),
-        "" if t.planned_s is None else repr(float(t.planned_s)),
-        "" if t.mean_degree is None else repr(float(t.mean_degree)),
-        "" if t.max_degree is None else t.max_degree,
-        "" if t.k_star is None else t.k_star,
-        t.iterations,
-    ]
-
-
 def results_to_dict(results: ExperimentResults) -> dict:
     """JSON-ready dict (None for missing values; round-trips exactly)."""
     spec = results.spec
@@ -369,18 +358,16 @@ def results_to_dict(results: ExperimentResults) -> dict:
 def write_summary_csv(path: str | Path, summary_rows: list[dict]) -> None:
     """Summary CSV from the ``results_to_dict(...)["summary"]`` rows.
 
-    Every row is checked for all ``SUMMARY_COLUMNS`` before the file is opened.
+    Every row is checked for all ``SUMMARY_COLUMNS`` and their JSON types
+    before the file is opened; an integer metric is written as a float.
     """
     for row in summary_rows:
-        require_fields(row, "results summary row", SUMMARY_COLUMNS)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary_rows:
-            writer.writerow([row["method"], row["n"], row["n_d"]] + [
-                "" if row[key] is None else repr(float(row[key]))
-                for key in SUMMARY_COLUMNS[3:]
-            ])
+        require_fields(row, "results summary row", _SUMMARY_FIELDS)
+    write_csv(path, SUMMARY_COLUMNS, [
+        [row["method"], row["n"], row["n_d"]]
+        + [None if row[key] is None else float(row[key]) for key in SUMMARY_COLUMNS[3:]]
+        for row in summary_rows
+    ])
 
 
 def export_results(results: ExperimentResults, out_dir: str | Path) -> dict[str, Path]:
@@ -395,30 +382,18 @@ def export_results(results: ExperimentResults, out_dir: str | Path) -> dict[str,
         "degree_cdf": out / "degree_cdf.csv",
     }
 
-    with open(paths["trials"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        for t in results.trials:
-            if not t.skipped:
-                writer.writerow(_trial_row(t))
-
     payload = results_to_dict(results)
-    write_summary_csv(paths["summary"], payload["summary"])
-    paths["json"].write_text(json.dumps(payload, indent=2) + "\n")
-
-    with open(paths["subnet_series"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "n", "n_d", "seed", "step", "t_s", "n_subnets"])
-        for t in results.trials:
-            for step, ns in enumerate(t.subnet_series):
-                writer.writerow([t.method, t.n, t.n_d, t.seed, step,
-                                 repr(step * results.spec.step_s), ns])
-
-    with open(paths["degree_cdf"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "n", "n_d", "degree", "cumulative_fraction"])
-        for s in results.summary:
-            for d, frac in enumerate(s.degree_cdf):
-                writer.writerow([s.method, s.n, s.n_d, d, repr(frac)])
-
+    trials, summary = payload["trials"], payload["summary"]
+    step_s = payload["spec"]["step_s"]
+    write_csv(paths["trials"], TRIAL_COLUMNS,
+              ([t[c] for c in TRIAL_COLUMNS] for t in trials if not t["skipped"]))
+    write_summary_csv(paths["summary"], summary)
+    write_payload(paths["json"], payload)
+    write_csv(paths["subnet_series"],
+              ["method", "n", "n_d", "seed", "step", "t_s", "n_subnets"],
+              ([t["method"], t["n"], t["n_d"], t["seed"], step, step * step_s, ns]
+               for t in trials for step, ns in enumerate(t["subnet_series"])))
+    write_csv(paths["degree_cdf"], ["method", "n", "n_d", "degree", "cumulative_fraction"],
+              ([s["method"], s["n"], s["n_d"], d, frac]
+               for s in summary for d, frac in enumerate(s["degree_cdf"])))
     return paths

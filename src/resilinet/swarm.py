@@ -8,9 +8,10 @@ marking unreachable pairs.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,29 +172,69 @@ def diameter_hops(adj: np.ndarray) -> int:
 
 def save_topology(path: str | Path, topology: SwarmTopology) -> None:
     """Write a topology JSON file (positions at 1e-6 m precision, index order)."""
-    payload = {
+    write_payload(path, {
         "version": TOPOLOGY_VERSION,
         "n": topology.n,
         "d_tr_m": float(topology.comm_range),
         "side_m": float(topology.side),
         "positions": [[round(float(x), 6), round(float(y), 6)] for x, y in topology.positions],
-    }
+    })
+
+
+def write_payload(path: str | Path, payload: dict) -> None:
+    """Write a JSON file: sorted keys, two-space indent, trailing newline."""
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def require_fields(payload: object, kind: str, fields: Iterable[str]) -> None:
-    """Raise ValueError naming ``kind`` and the first of ``fields`` it lacks."""
+def _csv_cell(value):
+    if type(value) in (int, str):  # most cells; skips the checks below
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV file under one cell rule for every column.
+
+    None is an empty cell, a bool is 0 or 1, a Python or NumPy float is
+    ``repr(float(v))``, and anything else is written as ``csv`` writes it.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(_csv_cell, row) for row in rows)
+
+
+_JSON_TYPES = {"list": (list,), "integer": (int,), "number": (int, float),
+               "number or null": (int, float, type(None)), "string": (str,)}
+
+
+def require_fields(payload: object, kind: str, fields: Mapping[str, str]) -> None:
+    """Raise ValueError naming ``kind`` and the first field missing or mistyped.
+
+    ``fields`` maps each required field to its JSON type, a key of ``_JSON_TYPES``.
+    """
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} must be a JSON object")
-    for field in fields:
+    for field, json_type in fields.items():
         if field not in payload:
             raise ValueError(f"{kind} lacks required field {field!r}")
+        value = payload[field]
+        # A bool is never a number, although Python counts it as an int.
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+            raise ValueError(f"{kind} field {field!r} must be a JSON {json_type}")
 
 
-def read_payload(path: str | Path, kind: str, version: int, fields: Iterable[str]) -> dict:
-    """JSON object of a ``kind`` file with the given version and required fields."""
+def read_payload(path: str | Path, kind: str, version: int,
+                 fields: Mapping[str, str]) -> dict:
+    """JSON object of a ``kind`` file with the given version and typed fields."""
     payload = json.loads(Path(path).read_text())
-    require_fields(payload, f"{kind} file", ("version",))
+    require_fields(payload, f"{kind} file", {"version": "number"})
     if payload["version"] != version:
         raise ValueError(f"unsupported {kind} file version: {payload['version']!r}")
     require_fields(payload, f"{kind} file", fields)
@@ -202,7 +243,8 @@ def read_payload(path: str | Path, kind: str, version: int, fields: Iterable[str
 
 def load_topology(path: str | Path) -> SwarmTopology:
     payload = read_payload(path, "topology", TOPOLOGY_VERSION,
-                           ("positions", "n", "d_tr_m", "side_m"))
+                           {"positions": "list", "n": "integer", "d_tr_m": "number",
+                            "side_m": "number"})
     positions = np.asarray(payload["positions"], dtype=float)
     if positions.shape[0] != payload["n"]:
         raise ValueError("topology file is inconsistent: n does not match positions")

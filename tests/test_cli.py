@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from resilinet.cli import (EXIT_CONFIG, EXIT_GENERATION, EXIT_OK, main)
 
 
@@ -168,3 +170,77 @@ class TestExperiment:
                    "--out", str(tmp_path / "s.json")) == EXIT_CONFIG
         assert "topology file lacks required field 'positions'" in capsys.readouterr().err
 
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("config, argv, message", [
+        ({"hyper": {"bogus": 1}}, ["pretrain", "--n", "16"],
+         "unknown config key 'hyper.bogus'"),
+        ({"hyper": {"kernel_step": 0.1}}, ["pretrain", "--n", "16"],
+         "unknown config key 'hyper.kernel_step'"),
+        ({"hyper": {"hidden_dim": "8"}}, ["pretrain", "--n", "16"],
+         "config key 'hyper' field 'hidden_dim' must be a JSON integer"),
+        ({"hyper": [1]}, ["pretrain", "--n", "16"],
+         "config key 'hyper' must be a JSON object"),
+        ({"n": None}, ["gen"], "config file field 'n' must be a JSON integer"),
+        ({"density": "dense"}, ["gen"], "config file field 'density' must be a JSON number"),
+    ], ids=["hyper-unknown", "hyper-deleted-knob", "hyper-string", "hyper-not-object",
+            "n-null", "density-string"])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, config, argv, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run(*argv, "--config", str(path),
+                   "--out", str(tmp_path / "x.json")) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("positions", None, "topology file field 'positions' must be a JSON list"),
+        ("d_tr_m", None, "topology file field 'd_tr_m' must be a JSON number"),
+        ("n", True, "topology file field 'n' must be a JSON integer"),
+    ], ids=["positions-null", "d_tr_m-null", "n-bool"])
+    def test_damage_on_topology_with_a_mistyped_field(self, tmp_path, capsys, field, value,
+                                                      message):
+        topo = tmp_path / "topo.json"
+        assert run("gen", "--n", "16", "--seed", "1", "--out", str(topo)) == EXIT_OK
+        payload = json.loads(topo.read_text())
+        payload[field] = value
+        topo.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("damage", "--topology", str(topo), "--nd", "3",
+                   "--out", str(tmp_path / "s.json")) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_damage_on_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("damage", "--topology", str(tmp_path), "--nd", "3",
+                   "--out", str(tmp_path / "s.json")) == EXIT_CONFIG
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"version": 1, "summary": 5}, "results file field 'summary' must be a JSON list"),
+        ({"summary": [{"method": "centering", "n": 20, "n_d": 9, "R_c": "high",
+                       "mean_T": 1, "std_T": None, "mean_deg": 1, "max_deg": 1}]},
+         "results summary row field 'R_c' must be a JSON number or null"),
+    ], ids=["summary-int", "row-metric-string"])
+    def test_report_rejects_a_mistyped_results_file(self, tmp_path, capsys, payload, message):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("report", "--results", str(results),
+                   "--out-dir", str(tmp_path / "report")) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report" / "summary.csv").exists()
+
+    def test_report_writes_integer_metrics_as_floats(self, tmp_path):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"summary": [
+            {"method": "centering", "n": 20, "n_d": 9, "R_c": 1, "mean_T": 3,
+             "std_T": None, "mean_deg": 10, "max_deg": 12},
+        ]}))
+        report = tmp_path / "report"
+        assert run("report", "--results", str(results), "--out-dir", str(report)) == EXIT_OK
+        assert (report / "summary.csv").read_text() == (
+            "method,n,n_d,R_c,mean_T,std_T,mean_deg,max_deg\n"
+            "centering,20,9,1.0,3.0,,10.0,12.0\n")
+        assert (report / "trc_vs_nd.csv").read_text() == (
+            "method,n_d,mean_T,std_T\ncentering,9,3.0,\n")

@@ -176,6 +176,8 @@ class TestExport:
         paths = export_results(results, tmp_path)
         on_disk = json.loads(paths["json"].read_text())
         assert on_disk == results_to_dict(results)
+        assert paths["json"].read_text() == json.dumps(
+            results_to_dict(results), sort_keys=True, indent=2) + "\n"
 
     def test_empty_results_write_headers_only(self, tmp_path):
         spec = ExperimentSpec(n=20, damage_sizes=(19,), trials=1, master_seed=5,

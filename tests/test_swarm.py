@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from resilinet.swarm import (GenerationError, SwarmTopology, _pairwise_sq_distances,
                              build_adjacency, component_labels, count_subnets,
                              degree_stats, diameter_hops, generate_swarm,
-                             hop_distances, load_topology, save_topology)
+                             hop_distances, load_topology, save_topology, write_csv)
 
 from _oracles import (bfs_hops_single, eigencount_components, einsum_adjacency,
                       einsum_sq_distances, floyd_warshall_hops,
@@ -291,3 +291,15 @@ class TestTopologyFile:
         with pytest.raises(ValueError):
             SwarmTopology(positions=np.array([[0.0, 0.0], [np.nan, 1.0]]),
                           comm_range=120.0, side=10.0)
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["none", "bool", "np_float", "np_int", "str", "float"],
+              [[None, True, np.float64(0.1), np.int64(7), "a,b", 0.30000000000000004],
+               [None, False, np.float64(2.0), np.int64(-1), "", 1 / 3]])
+    assert path.read_bytes() == (
+        b"none,bool,np_float,np_int,str,float\r\n"
+        b",1,0.1,7,\"a,b\",0.30000000000000004\r\n"
+        b",0,2.0,-1,,0.3333333333333333\r\n"
+    )
