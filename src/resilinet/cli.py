@@ -24,8 +24,8 @@ from .planner import (METHOD_CENTERING, METHOD_LEARNED, load_plan, plan_centerin
                       plan_learned, save_plan, verify_plan)
 from .simulate import (ExperimentSpec, export_results, run_experiment,
                        simulate_recovery, write_summary_csv)
-from .swarm import (GenerationError, generate_swarm, load_topology, require_fields,
-                    save_topology, write_csv, write_payload)
+from .swarm import (GenerationError, generate_swarm, load_topology, read_json,
+                    require_fields, save_topology, write_csv, write_payload)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -246,7 +246,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.results).read_text())
+    payload = read_json(args.results, "results")
     require_fields(payload, "results file", {"summary": "list"})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ Everything is hand-rolled numpy: the forward pass caches what reverse mode
 needs, gradients are derived manually (the sub-net penalty is piecewise
 constant, so training uses a spanning-tree gap surrogate whose gradient
 pulls the closest node pair of disconnected components together), and the
-optimizer is a plain Adam.
+optimizer is a plain Adam that updates the weights in place.
 """
 from __future__ import annotations
 
@@ -30,6 +30,10 @@ from .swarm import (_pairwise_sq_distances, build_adjacency, component_labels, c
                     diameter_hops, generate_swarm, read_payload, write_csv, write_payload)
 
 MODEL_VERSION = 1
+# Elements per slice of the in-place Adam update: the slice of the weight,
+# gradient and both moments plus two scratch slices (6 x 256 KiB) stay in a
+# 2 MiB L2 cache across the update's fourteen element-wise passes.
+ADAM_SLICE = 32768
 
 
 class TrainingDivergence(RuntimeError):
@@ -69,7 +73,12 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class ModelWeights:
-    """Layer weight matrices: (2, d), then 2 per block (d, d), then (d, 2)."""
+    """Layer weight matrices: (2, d), then 2 per block (d, d), then (d, 2).
+
+    Finiteness is checked where weights enter the system (``load_model``);
+    training raises ``TrainingDivergence`` once the network output is not
+    finite, so no per-step check is made.
+    """
 
     matrices: tuple[np.ndarray, ...]
     hidden_dim: int
@@ -80,9 +89,6 @@ class ModelWeights:
         shapes = tuple(m.shape for m in self.matrices)
         if shapes != expected:
             raise ValueError(f"weight shapes {shapes} do not match {expected}")
-        for m in self.matrices:
-            if not np.all(np.isfinite(m)):
-                raise ValueError("weights must be finite")
 
     @property
     def q(self) -> int:
@@ -180,26 +186,29 @@ class BlockTrace:
 class ForwardTrace:
     """Everything backward needs to replay the forward pass exactly."""
 
-    x_norm: np.ndarray
     first_mid: np.ndarray
     first_act: np.ndarray
     block_traces: tuple[BlockTrace, ...]
     final_mid: np.ndarray
     final_act: np.ndarray
     output: np.ndarray
-    center: np.ndarray
     scale: float
-    train: bool
 
 
 def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
             config: Hyperparams, train: bool = False,
-            rng: np.random.Generator | None = None) -> tuple[np.ndarray, ForwardTrace]:
+            rng: np.random.Generator | None = None,
+            prefix: ForwardTrace | None = None) -> tuple[np.ndarray, ForwardTrace]:
     """Run the network on the batch; returns (output positions, trace).
 
     Dropout is applied between residual blocks in train mode only (masks are
     recorded in the trace); eval mode is fully deterministic.  Raises
     TrainingDivergence if the output stops being finite.
+
+    Block 0 has no dropout in either mode, so the first layer and block 0
+    depend only on the weights, batch and kernel.  ``prefix``, a trace of a
+    forward pass over the same batch and kernel with weights equal to these,
+    supplies them instead of recomputing them; the result is bit-identical.
     """
     mats = weights.matrices
     if mats[0].shape != (seq.batch_features.shape[1], weights.hidden_dim):
@@ -209,14 +218,17 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
         raise ValueError("train-mode forward with dropout needs an rng")
 
     x_rows, center, scale = normalize_features(seq.batch_features[:seq.n])
-    x_norm = np.tile(x_rows, (seq.branches, 1))
+    if prefix is None:
+        first_mid = kernel @ np.tile(x_rows, (seq.branches, 1))
+        first_act = np.maximum(first_mid @ mats[0], 0.0)
+        x = first_act
+        block_traces = []
+    else:
+        first_mid, first_act = prefix.first_mid, prefix.first_act
+        block_traces = [prefix.block_traces[0]]
+        x = block_traces[0].act_b + first_act
 
-    first_mid = kernel @ x_norm
-    first_act = np.maximum(first_mid @ mats[0], 0.0)
-
-    x = first_act
-    block_traces = []
-    for l in range(weights.blocks):
+    for l in range(len(block_traces), weights.blocks):
         if train and config.dropout > 0.0 and l > 0:
             keep = 1.0 - config.dropout
             mask = (rng.random(x.shape) >= config.dropout) / keep
@@ -240,49 +252,79 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
         raise TrainingDivergence("non-finite network output")
 
     trace = ForwardTrace(
-        x_norm=x_norm, first_mid=first_mid, first_act=first_act,
+        first_mid=first_mid, first_act=first_act,
         block_traces=tuple(block_traces), final_mid=final_mid,
-        final_act=final_act, output=output, center=center, scale=scale,
-        train=train,
+        final_act=final_act, output=output, scale=scale,
     )
     return output, trace
 
 
+@dataclass(frozen=True)
+class BackwardBuffers:
+    """Arrays that ``backward`` overwrites instead of allocating on every call.
+
+    A training loop makes one set for its batch and passes it to each
+    ``backward`` call, so every iteration's weight gradients and largest
+    temporaries reuse the same pages.  Allocated fresh per iteration, they
+    are freed at the top of the heap, the allocator returns them to the
+    system, and the next iteration faults them in again.
+    """
+
+    grads: tuple[np.ndarray, ...]
+    first: np.ndarray
+    product: np.ndarray
+    active: np.ndarray
+
+    @classmethod
+    def for_batch(cls, weights: ModelWeights, rows: int) -> "BackwardBuffers":
+        """Gradients shaped like the weights, and (rows, d) float, float and bool scratch."""
+        shape = (rows, weights.hidden_dim)
+        return cls(grads=tuple(np.empty_like(m) for m in weights.matrices),
+                   first=np.empty(shape), product=np.empty(shape),
+                   active=np.empty(shape, dtype=bool))
+
+
 def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
-             grad_output: np.ndarray) -> list[np.ndarray]:
+             grad_output: np.ndarray,
+             buffers: BackwardBuffers | None = None) -> list[np.ndarray]:
     """Reverse-mode gradients of every weight matrix given d(loss)/d(output).
 
-    The kernel is symmetric, so its transpose in the chain is itself.
+    The kernel is symmetric, so its transpose in the chain is itself.  The
+    gradients are the arrays of ``buffers`` (a fresh set when None), which
+    the next call with the same buffers overwrites.
     """
     mats = weights.matrices
+    if buffers is None:
+        buffers = BackwardBuffers.for_batch(weights, trace.first_act.shape[0])
+    grads, active = buffers.grads, buffers.active
     g_final = grad_output * (trace.scale + 1.0)
     g_zq = g_final * (1.0 - trace.final_act ** 2)
-    grads = [np.zeros_like(m) for m in mats]
-    grads[-1] = trace.final_mid.T @ g_zq
+    np.matmul(trace.final_mid.T, g_zq, out=grads[-1])
 
-    g_x = kernel @ (g_zq @ mats[-1].T)
-    g_first = np.zeros_like(trace.first_act)
+    g_x = kernel @ np.matmul(g_zq, mats[-1].T, out=buffers.product)
+    g_first = buffers.first
+    g_first.fill(0.0)
     for l in range(weights.blocks - 1, -1, -1):
         bt = trace.block_traces[l]
         w_a = mats[1 + 2 * l]
         w_b = mats[2 + 2 * l]
         g_first += g_x
-        g_zb = g_x * (bt.act_b > 0)
-        grads[2 + 2 * l] = bt.mid_b.T @ g_zb
-        g_a = kernel @ (g_zb @ w_b.T)
-        g_za = g_a * (bt.act_a > 0)
-        grads[1 + 2 * l] = bt.mid_a.T @ g_za
-        g_in = kernel @ (g_za @ w_a.T)
+        g_zb = np.multiply(g_x, np.greater(bt.act_b, 0, out=active), out=g_x)
+        np.matmul(bt.mid_b.T, g_zb, out=grads[2 + 2 * l])
+        g_a = kernel @ np.matmul(g_zb, w_b.T, out=buffers.product)
+        g_za = np.multiply(g_a, np.greater(bt.act_a, 0, out=active), out=g_a)
+        np.matmul(bt.mid_a.T, g_za, out=grads[1 + 2 * l])
+        g_in = kernel @ np.matmul(g_za, w_a.T, out=buffers.product)
         if bt.dropout_mask is not None:
-            g_in = g_in * bt.dropout_mask
+            g_in *= bt.dropout_mask
         if l == 0:
             g_first += g_in
         else:
             g_x = g_in
 
-    g_z1 = g_first * (trace.first_act > 0)
-    grads[0] = trace.first_mid.T @ g_z1
-    return grads
+    g_z1 = np.multiply(g_first, np.greater(trace.first_act, 0, out=active), out=g_first)
+    np.matmul(trace.first_mid.T, g_z1, out=grads[0])
+    return list(grads)
 
 
 @dataclass(frozen=True)
@@ -441,38 +483,67 @@ class AdamState:
 
 def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
               config: Hyperparams) -> tuple[ModelWeights, AdamState]:
-    """Standard Adam update with bias correction; deterministic given state."""
+    """Standard Adam update with bias correction, in place.
+
+    Overwrites ``weights.matrices`` and the state's moment arrays, and
+    returns the same weights with the state advanced by one step; a caller
+    that needs the old values copies them first.  Per element it computes
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in that order, so the result is
+    bit-identical to the out-of-place form.  Each matrix is updated in row
+    slices of about ``ADAM_SLICE`` elements with two scratch buffers
+    allocated once per call.
+    """
     t = state.step + 1
     b1, b2, eps = 0.9, 0.999, 1e-8
-    new_mats, new_m, new_v = [], [], []
-    for w, g, m, v in zip(weights.matrices, grads, state.first_moment,
-                          state.second_moment):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_mats.append(w - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return (
-        replace(weights, matrices=tuple(new_mats)),
-        AdamState(first_moment=tuple(new_m), second_moment=tuple(new_v), step=t),
-    )
+    c1, c2, lr = 1.0 - b1 ** t, 1.0 - b2 ** t, config.learning_rate
+    # A row wider than ADAM_SLICE is a slice of its own.
+    width = max(ADAM_SLICE, *(w.shape[1] for w in weights.matrices))
+    buf_a, buf_b = np.empty(width), np.empty(width)
+    for w_all, g_all, m_all, v_all in zip(weights.matrices, grads, state.first_moment,
+                                          state.second_moment):
+        rows, cols = w_all.shape
+        step = max(1, ADAM_SLICE // cols)
+        for lo in range(0, rows, step):
+            hi = min(rows, lo + step)
+            w, g, m, v = w_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            a = buf_a[:(hi - lo) * cols].reshape(hi - lo, cols)
+            b = buf_b[:(hi - lo) * cols].reshape(hi - lo, cols)
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(m, c1, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(w, b, out=w)
+    return weights, replace(state, step=t)
 
 
 def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence,
                kernel, start_remaining: np.ndarray, comm_range: float,
-               config: Hyperparams, rng: np.random.Generator
-               ) -> tuple[ModelWeights, AdamState, LossHead]:
-    """One train-mode forward/backward/Adam update; returns the loss head."""
-    output, trace = forward(weights, seq, kernel, config, train=True, rng=rng)
+               config: Hyperparams, rng: np.random.Generator, buffers: BackwardBuffers,
+               prefix: ForwardTrace | None = None
+               ) -> tuple[AdamState, LossHead, ForwardTrace]:
+    """One train-mode forward/backward/Adam update of ``weights`` in place.
+
+    Returns the advanced Adam state, the loss head and the forward trace;
+    ``buffers`` goes to ``backward`` and ``prefix`` to ``forward``.
+    """
+    output, trace = forward(weights, seq, kernel, config, train=True, rng=rng,
+                            prefix=prefix)
     head = loss_head(
         output, seq.n, seq.n_remaining, start_remaining, config.max_speed,
         comm_range, config.lagrange_s, config.resolve_gap_penalty(comm_range),
     )
-    grads = backward(trace, weights, kernel, head.grad_output)
-    weights, state = adam_step(weights, grads, state, config)
-    return weights, state, head
+    grads = backward(trace, weights, kernel, head.grad_output, buffers)
+    return adam_step(weights, grads, state, config)[1], head, trace
 
 
 @dataclass(frozen=True)
@@ -516,11 +587,19 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     rng = np.random.default_rng(dropout_seed)
     start_remaining = input_graph.features[: input_graph.n_remaining]
 
+    buffers = BackwardBuffers.for_batch(weights, seq.batch_features.shape[0])
+
     curve = []
     best_flight: float | None = None
+    # Each step's trace is held until the next step has made its own (solve
+    # holds its eval trace the same way), so two traces take turns in the
+    # same pages.  A trace freed before the next forward would leave the heap
+    # top free, and the allocator would return it to the system and fault it
+    # in again on every iteration.
+    trace: ForwardTrace | None = None
     for iteration in range(1, config.pretrain_iters + 1):
-        weights, state, head = train_step(
-            weights, state, seq, kernel, start_remaining, comm_range, config, rng
+        state, head, trace = train_step(
+            weights, state, seq, kernel, start_remaining, comm_range, config, rng, buffers
         )
         feasible = head.metrics.subnet_counts == 1
         if feasible.any():
@@ -571,9 +650,10 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
           config: Hyperparams | None = None, seed: int = 0) -> SolutionSet:
     """Online-iterate from pretrained weights and keep the best per branch.
 
-    The pretrained weights are never mutated (Adam produces fresh arrays).
-    After each train-mode step, an eval-mode forward scores every branch;
-    the best feasible candidate per branch over all iterations is retained.
+    The pretrained weights are never mutated: Adam updates a copy made once
+    per call.  After each train-mode step, an eval-mode forward scores every
+    branch; the best feasible candidate per branch over all iterations is
+    retained.  That eval trace is the next train forward's ``prefix``.
     Stops early once a feasible best exists and the reported loss has been
     stable (relative change < 1e-3) for 10 consecutive iterations.  An
     entirely infeasible run is a value, not an error.
@@ -592,8 +672,11 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
             k_star=1, feasible=True, iterations=0,
         )
 
+    weights = replace(weights, matrices=tuple(m.copy() for m in weights.matrices))
     state = AdamState.zeros(weights)
+    buffers = BackwardBuffers.for_batch(weights, seq.batch_features.shape[0])
     rng = np.random.default_rng(seed)
+    eval_trace: ForwardTrace | None = None
     best_times = np.full(branches, np.inf)
     best_targets: list[np.ndarray | None] = [None] * branches
     last_metrics: BranchMetrics | None = None
@@ -603,10 +686,11 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     iterations = 0
 
     for iterations in range(1, config.online_iters + 1):
-        weights, state, head = train_step(
-            weights, state, seq, kernel, start_remaining, comm_range, config, rng
+        state, head, _ = train_step(
+            weights, state, seq, kernel, start_remaining, comm_range, config, rng, buffers,
+            prefix=eval_trace,
         )
-        output, _ = forward(weights, seq, kernel, config, train=False)
+        output, eval_trace = forward(weights, seq, kernel, config, train=False)
         metrics = per_branch_metrics(
             output, n, n_r, start_remaining, config.max_speed, comm_range
         )
@@ -674,10 +758,24 @@ def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
 def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
     payload = read_payload(path, "model", MODEL_VERSION, {"d_s": "integer", "L": "integer",
                                                           "shapes": "list", "weights": "list"})
+    shapes, blobs = payload["shapes"], payload["weights"]
+    if not all(isinstance(s, list) and len(s) == 2
+               and all(type(d) is int and d >= 0 for d in s) for s in shapes):
+        raise ValueError("model file field 'shapes' must list pairs of non-negative integers")
+    if not all(isinstance(b, str) for b in blobs):
+        raise ValueError("model file field 'weights' must list base64 strings")
+    if len(shapes) != len(blobs):
+        raise ValueError("model file fields 'shapes' and 'weights' differ in length")
     mats = []
-    for shape, blob in zip(payload["shapes"], payload["weights"]):
-        raw = np.frombuffer(base64.b64decode(blob), dtype="<f8")
-        mats.append(raw.reshape(shape).astype(float))
+    for i, (shape, blob) in enumerate(zip(shapes, blobs)):
+        try:
+            mat = np.frombuffer(base64.b64decode(blob), dtype="<f8").reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"model file field 'weights' entry {i} is not a float64 "
+                             f"array of shape {shape}") from exc
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"model file field 'weights' entry {i} is not finite")
+        mats.append(mat.astype(float))
     weights = ModelWeights(
         matrices=tuple(mats), hidden_dim=payload["d_s"], blocks=payload["L"]
     )

@@ -230,10 +230,18 @@ def require_fields(payload: object, kind: str, fields: Mapping[str, str]) -> Non
             raise ValueError(f"{kind} field {field!r} must be a JSON {json_type}")
 
 
+def read_json(path: str | Path, kind: str) -> object:
+    """Parsed content of a ``kind`` JSON file; bad JSON names the kind and the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
 def read_payload(path: str | Path, kind: str, version: int,
                  fields: Mapping[str, str]) -> dict:
     """JSON object of a ``kind`` file with the given version and typed fields."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path, kind)
     require_fields(payload, f"{kind} file", {"version": "number"})
     if payload["version"] != version:
         raise ValueError(f"unsupported {kind} file version: {payload['version']!r}")

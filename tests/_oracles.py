@@ -6,6 +6,8 @@ shares no code path with the package under test.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -133,3 +135,27 @@ def dense_forward_reference(matrices, features, biadjacencies, step):
         final = np.tanh(kernels[i] @ x[i] @ matrices[-1])
         out_blocks.append((scale + 1.0) * final + center)
     return np.vstack(out_blocks)
+
+
+def functional_adam_step(weights, grads, state, config):
+    """Out-of-place Adam: fresh weight and moment arrays on every step.
+
+    The package's former ``adam_step``, kept verbatim except that the state
+    type comes from the given state.
+    """
+    t = state.step + 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    new_mats, new_m, new_v = [], [], []
+    for w, g, m, v in zip(weights.matrices, grads, state.first_moment,
+                          state.second_moment):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        new_mats.append(w - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return (
+        replace(weights, matrices=tuple(new_mats)),
+        type(state)(first_moment=tuple(new_m), second_moment=tuple(new_v), step=t),
+    )

@@ -5,6 +5,8 @@ import pytest
 
 from resilinet.cli import (EXIT_CONFIG, EXIT_GENERATION, EXIT_OK, main)
 
+from test_gcn import write_non_finite_model
+
 
 def run(*argv):
     return main(list(argv))
@@ -244,3 +246,49 @@ class TestMalformedInput:
             "centering,20,9,1.0,3.0,,10.0,12.0\n")
         assert (report / "trc_vs_nd.csv").read_text() == (
             "method,n_d,mean_T,std_T\ncentering,9,3.0,\n")
+
+    @staticmethod
+    def _inputs(tmp_path):
+        topo, scenario, model = (tmp_path / f"{k}.json" for k in ("topo", "scenario", "model"))
+        assert run("gen", "--n", "16", "--seed", "1", "--out", str(topo)) == EXIT_OK
+        assert run("damage", "--topology", str(topo), "--nd", "7", "--seed", "2",
+                   "--out", str(scenario)) == EXIT_OK
+        assert run("pretrain", "--n", "16", "--seed", "3", "--hidden-dim", "4",
+                   "--blocks", "1", "--iters", "1", "--out", str(model)) == EXIT_OK
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"summary": []}))
+        return {"topology": topo, "scenario": scenario, "model": model, "results": results}
+
+    @pytest.mark.parametrize("kind", ["topology", "scenario", "model", "results"])
+    def test_corrupt_json_names_the_file(self, tmp_path, capsys, kind):
+        files = self._inputs(tmp_path)
+        files[kind].write_text("{bad")
+        argv = {
+            "topology": ["damage", "--topology", str(files["topology"]), "--nd", "3",
+                         "--out", str(tmp_path / "s.json")],
+            "scenario": ["plan", "--method", "centering", "--topology", str(files["topology"]),
+                         "--scenario", str(files["scenario"]),
+                         "--out", str(tmp_path / "plan.json")],
+            "model": ["plan", "--topology", str(files["topology"]),
+                      "--scenario", str(files["scenario"]), "--model", str(files["model"]),
+                      "--hidden-dim", "4", "--blocks", "1",
+                      "--out", str(tmp_path / "plan.json")],
+            "results": ["report", "--results", str(files["results"]),
+                        "--out-dir", str(tmp_path / "report")],
+        }[kind]
+        capsys.readouterr()
+        assert run(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{kind} file {files[kind]} is not valid JSON: Expecting property name" in err
+        assert "Traceback" not in err
+
+    def test_plan_with_a_non_finite_model(self, tmp_path, capsys):
+        files = self._inputs(tmp_path)
+        write_non_finite_model(files["model"])
+        capsys.readouterr()
+        assert run("plan", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--model", str(files["model"]),
+                   "--hidden-dim", "4", "--blocks", "1",
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        assert "model file field 'weights' entry 2 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "plan.json").exists()

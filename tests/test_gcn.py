@@ -1,8 +1,13 @@
+import base64
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resilinet import gcn
 from resilinet.damage import DamageScenario, apply_damage, build_input_graph
 from resilinet.damage_graphs import build_graph_sequence, choose_branch_count
 from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
@@ -13,7 +18,7 @@ from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
                            write_loss_curve, BranchMetrics)
 from resilinet.swarm import SwarmTopology, count_subnets, diameter_hops, generate_swarm
 
-from _oracles import dense_forward_reference
+from _oracles import dense_forward_reference, functional_adam_step
 
 TINY = Hyperparams(hidden_dim=8, blocks=1, dropout=0.0, online_iters=30,
                    pretrain_iters=5)
@@ -27,6 +32,17 @@ def small_case(seed=1, n=16, n_d=7, branches=None):
         branches = choose_branch_count(diameter_hops(topo.adjacency()))
     seq = build_graph_sequence(graph_in, branches)
     return topo, scenario, graph_in, seq
+
+
+def write_non_finite_model(path, bad=np.nan):
+    """A model file whose third matrix holds one non-finite value."""
+    weights = ModelWeights.init_scaled_uniform(4, 1, seed=0)
+    save_model(path, weights, init_seed=0)
+    payload = json.loads(path.read_text())
+    poisoned = weights.matrices[2].copy()
+    poisoned[1, 1] = bad
+    payload["weights"][2] = base64.b64encode(poisoned.astype("<f8").tobytes()).decode("ascii")
+    path.write_text(json.dumps(payload))
 
 
 def pair_sequence(positions, destroyed, comm_range):
@@ -160,6 +176,26 @@ class TestForward:
         assert trace.block_traces[1].dropout_mask is not None
         assert not np.array_equal(a, b)
 
+    def test_eval_trace_prefix_gives_the_same_train_forward(self):
+        _, _, _, seq = small_case(8, branches=3)
+        kernel = build_kernel(seq)
+        weights = ModelWeights.init_scaled_uniform(8, 3, seed=3)
+        config = Hyperparams(hidden_dim=8, blocks=3, dropout=0.1)
+        _, eval_trace = forward(weights, seq, kernel, config, train=False)
+        plain, plain_trace = forward(weights, seq, kernel, config, train=True,
+                                     rng=np.random.default_rng(5))
+        shared, shared_trace = forward(weights, seq, kernel, config, train=True,
+                                       rng=np.random.default_rng(5), prefix=eval_trace)
+        assert shared.tobytes() == plain.tobytes()
+        assert shared_trace.block_traces[0] is eval_trace.block_traces[0]
+        for a, b in zip(plain_trace.block_traces, shared_trace.block_traces):
+            for field in ("mid_a", "act_a", "mid_b", "act_b"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert [b.dropout_mask is None for b in shared_trace.block_traces] == [True, False, False]
+        grads = [g.copy() for g in backward(plain_trace, weights, kernel, plain)]
+        for a, b in zip(grads, backward(shared_trace, weights, kernel, shared)):
+            assert a.tobytes() == b.tobytes()
+
     def test_matches_dense_reference_tiny_net(self):
         rng = np.random.default_rng(9)
         positions = rng.uniform(0, 300, size=(4, 2))
@@ -238,9 +274,10 @@ class TestAdam:
         weights = ModelWeights.init_scaled_uniform(4, 1, seed=0)
         state = AdamState.zeros(weights)
         zero = [np.zeros_like(m) for m in weights.matrices]
+        snapshot = [m.copy() for m in weights.matrices]
         updated, state = adam_step(weights, zero, state, Hyperparams(hidden_dim=4, blocks=1))
         assert state.step == 1
-        for before, after in zip(weights.matrices, updated.matrices):
+        for before, after in zip(snapshot, updated.matrices):
             assert np.array_equal(before, after)
 
     def test_first_step_is_sign_scaled(self):
@@ -248,8 +285,9 @@ class TestAdam:
         state = AdamState.zeros(weights)
         grads = [np.full_like(m, 2.0) for m in weights.matrices]
         config = Hyperparams(hidden_dim=4, blocks=1, learning_rate=1e-3)
+        snapshot = [m.copy() for m in weights.matrices]
         updated, _ = adam_step(weights, grads, state, config)
-        for before, after in zip(weights.matrices, updated.matrices):
+        for before, after in zip(snapshot, updated.matrices):
             assert np.allclose(before - after, 1e-3, rtol=1e-6)
 
     def test_matches_reference_trace_on_quadratic(self):
@@ -278,6 +316,46 @@ class TestAdam:
                 assert weights.matrices[0][0, 1] == pytest.approx(expected[t][1], rel=1e-12)
         # untouched entries never move (their gradients stayed zero)
         assert np.array_equal(weights.matrices[0][1:], np.zeros_like(mats[0][1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hidden=st.integers(1, 24), blocks=st.integers(1, 2), slice_len=st.integers(1, 50),
+           steps=st.integers(1, 5), lr=st.sampled_from([1e-4, 1e-3, 0.1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_in_place_steps_equal_the_functional_form(self, hidden, blocks, slice_len,
+                                                      steps, lr, seed):
+        # Slices of 1-50 elements split the matrices into full slices plus a
+        # ragged remainder, or into single rows wider than a slice.
+        with mock.patch.object(gcn, "ADAM_SLICE", slice_len):
+            self._compare_with_functional(hidden, blocks, steps, lr, seed)
+
+    def test_in_place_steps_equal_the_functional_form_at_the_slice_length(self):
+        # 200 x 200 is one full slice of 163 rows plus 37 rows.
+        assert (200 * 200) % gcn.ADAM_SLICE and 200 * 200 > gcn.ADAM_SLICE
+        self._compare_with_functional(200, 1, 3, 1e-3, 11)
+
+    @staticmethod
+    def _compare_with_functional(hidden, blocks, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        config = Hyperparams(hidden_dim=hidden, blocks=blocks, learning_rate=lr)
+        weights = ModelWeights.init_scaled_uniform(hidden, blocks, seed=seed)
+        state = AdamState.zeros(weights)
+        ref_weights = ModelWeights(tuple(m.copy() for m in weights.matrices), hidden, blocks)
+        ref_state = AdamState.zeros(ref_weights)
+        for _ in range(steps):
+            grads = []
+            for m in weights.matrices:
+                g = rng.standard_normal(m.shape) * 10.0 ** rng.uniform(-8, 3)
+                g[rng.random(m.shape) < 0.2] = 0.0
+                grads.append(g)
+            ref_weights, ref_state = functional_adam_step(ref_weights, grads, ref_state, config)
+            updated, state = adam_step(weights, grads, state, config)
+            assert updated is weights
+        assert state.step == ref_state.step == steps
+        for got, want in ((weights.matrices, ref_weights.matrices),
+                          (state.first_moment, ref_state.first_moment),
+                          (state.second_moment, ref_state.second_moment)):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestKernelFlow:
@@ -458,6 +536,46 @@ class TestPretrain:
         del payload[field]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"model file lacks required field '{field}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, entry, value, message", [
+        ("shapes", 0, 5, "field 'shapes' must list pairs of non-negative integers"),
+        ("shapes", 0, [2], "field 'shapes' must list pairs of non-negative integers"),
+        ("shapes", 0, [2, -4], "field 'shapes' must list pairs of non-negative integers"),
+        ("shapes", 0, [2, 4.0], "field 'shapes' must list pairs of non-negative integers"),
+        ("shapes", 0, [2, True], "field 'shapes' must list pairs of non-negative integers"),
+        ("shapes", 0, [2, 5], "field 'weights' entry 0 is not a float64 array of shape [2, 5]"),
+        ("weights", 1, 5, "field 'weights' must list base64 strings"),
+        ("weights", 1, None, "field 'weights' must list base64 strings"),
+        ("weights", 1, "AAAA", "field 'weights' entry 1 is not a float64 array"),
+        ("weights", 1, "%%%", "field 'weights' entry 1 is not a float64 array"),
+    ], ids=["shape-int", "shape-short", "shape-negative", "shape-float", "shape-bool",
+            "shape-wrong-size", "weights-int", "weights-null", "weights-short-blob",
+            "weights-bad-base64"])
+    def test_model_file_rejects_a_bad_element(self, tmp_path, field, entry, value, message):
+        path = tmp_path / "model.json"
+        save_model(path, ModelWeights.init_scaled_uniform(4, 1, seed=0), init_seed=0)
+        payload = json.loads(path.read_text())
+        payload[field][entry] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"model file {message}".replace("[", r"\[")
+                           .replace("]", r"\]")):
+            load_model(path)
+
+    def test_model_file_rejects_mismatched_lengths(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, ModelWeights.init_scaled_uniform(4, 1, seed=0), init_seed=0)
+        payload = json.loads(path.read_text())
+        payload["weights"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="fields 'shapes' and 'weights' differ in length"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_model_file_rejects_non_finite_weights(self, tmp_path, bad):
+        path = tmp_path / "model.json"
+        write_non_finite_model(path, bad)
+        with pytest.raises(ValueError, match="model file field 'weights' entry 2 is not finite"):
             load_model(path)
 
     def test_loss_curve_csv(self, tmp_path):
