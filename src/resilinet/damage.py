@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .swarm import SwarmTopology, count_subnets, read_payload, write_payload
+from .swarm import SwarmTopology, count_subnets, hop_distances, read_payload, write_payload
 
 SCENARIO_VERSION = 1
 
@@ -57,12 +57,15 @@ class InputGraph:
     """Original topology with rows/columns permuted to remaining-then-destroyed.
 
     ``order[i]`` is the original index of row i; the first ``n_remaining``
-    rows are the surviving nodes in ascending original order.
+    rows are the surviving nodes in ascending original order.  ``hops`` is
+    the all-pairs hop matrix of ``adjacency`` (``inf`` for unreachable pairs),
+    computed once: the branch count and every dilation branch come from it.
     """
 
     order: np.ndarray
     features: np.ndarray
     adjacency: np.ndarray
+    hops: np.ndarray
     n_remaining: int
     n_destroyed: int
 
@@ -110,11 +113,12 @@ def remaining_adjacency(topology: SwarmTopology, scenario: DamageScenario) -> np
 def build_input_graph(topology: SwarmTopology, scenario: DamageScenario) -> InputGraph:
     """Permute positions and adjacency to remaining-then-destroyed order."""
     order = np.concatenate([scenario.remaining, scenario.destroyed])
-    adj = topology.adjacency()
+    adj = topology.adjacency()[np.ix_(order, order)]
     return InputGraph(
         order=order,
         features=topology.positions[order].copy(),
-        adjacency=adj[np.ix_(order, order)],
+        adjacency=adj,
+        hops=hop_distances(adj),
         n_remaining=scenario.n_remaining,
         n_destroyed=scenario.n_destroyed,
     )
@@ -130,7 +134,7 @@ def save_scenario(path: str | Path, scenario: DamageScenario, topology_ref: str 
 
 
 def load_scenario(path: str | Path, n: int) -> DamageScenario:
-    payload = read_payload(path, "scenario", SCENARIO_VERSION, {"destroyed": "list"})
+    payload = read_payload(path, "scenario", SCENARIO_VERSION, {"destroyed": "list of integers"})
     destroyed = np.asarray(payload["destroyed"], dtype=int) - 1
     if destroyed.size and (destroyed.min() < 0 or destroyed.max() >= n):
         raise ValueError("scenario file indices out of range for this topology")

@@ -4,8 +4,8 @@ Each branch k dilates the input graph's links to hop distance <= k and then
 keeps only remaining-to-destroyed links, producing a bipartite graph stored
 as an (n_remaining, n_destroyed) biadjacency.  The sequence of branches for
 k = 1..K, plus the block-diagonal batch the convolution network consumes,
-comes out of a single hop-distance pass (hop thresholding, not repeated
-matrix powers).
+comes out of the input graph's one hop matrix (hop thresholding, not
+repeated matrix powers).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .damage import InputGraph
-from .swarm import count_subnets, hop_distances
+from .swarm import count_subnets
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,12 @@ def choose_branch_count(hop_diameter: int, cap: int = 12) -> int:
 
 
 def build_graph_sequence(input_graph: InputGraph, branches: int) -> DamageGraphSequence:
-    """Build branches k = 1..K from one hop-distance pass, plus the batch."""
+    """Build branches k = 1..K from the input graph's hop matrix, plus the batch."""
     if branches < 1:
         raise ValueError("branches must be at least 1")
     n_r, n_d = input_graph.n_remaining, input_graph.n_destroyed
-    hops = hop_distances(input_graph.adjacency)
     graphs = tuple(
-        bipartite_damage_graph(dilate_adjacency(hops, k), n_r, n_d, k)
+        bipartite_damage_graph(dilate_adjacency(input_graph.hops, k), n_r, n_d, k)
         for k in range(1, branches + 1)
     )
     blocks = [sparse.csr_matrix(g.full_adjacency().astype(float)) for g in graphs]

@@ -27,7 +27,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from .damage import InputGraph, apply_damage, build_input_graph
 from .damage_graphs import DamageGraphSequence, build_graph_sequence, choose_branch_count
 from .swarm import (_pairwise_sq_distances, build_adjacency, component_labels, count_subnets,
-                    diameter_hops, generate_swarm, read_payload, write_csv, write_payload)
+                    diameter_from_hops, generate_swarm, read_payload, write_csv,
+                    write_payload)
 
 MODEL_VERSION = 1
 # Elements per slice of the in-place Adam update: the slice of the weight,
@@ -578,7 +579,7 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     topology = generate_swarm(n, density_per_km2, comm_range, topo_seed)
     scenario = apply_damage(topology, n // 2, damage_seed, require_split=True)
     input_graph = build_input_graph(topology, scenario)
-    branches = choose_branch_count(diameter_hops(input_graph.adjacency), config.branch_cap)
+    branches = choose_branch_count(diameter_from_hops(input_graph.hops), config.branch_cap)
     seq = build_graph_sequence(input_graph, branches)
     kernel = build_kernel(seq)
 
@@ -629,20 +630,23 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Per-branch candidates plus the selected branch.
+    """The best connected candidate per branch plus the selected branch.
 
-    ``branch_targets[k]`` is the full (n, 2) target matrix for branch k + 1;
-    ``k_star`` is 1-based and only ever points at a feasible branch.  When no
-    branch ever produced a connected candidate, ``feasible`` is False and the
-    caller falls back.
+    ``branch_targets[k]`` is the full (n, 2) target matrix of branch k + 1's
+    best connected candidate and ``flight_times[k]`` its flight time; a branch
+    that never produced one has None and ``inf``.  ``k_star`` is 1-based and
+    only ever points at such a candidate; it is None when no branch has one,
+    and the caller falls back.
     """
 
-    branch_targets: tuple[np.ndarray, ...]
+    branch_targets: tuple[np.ndarray | None, ...]
     flight_times: np.ndarray
-    subnet_counts: np.ndarray
     k_star: int | None
-    feasible: bool
     iterations: int
+
+    @property
+    def feasible(self) -> bool:
+        return self.k_star is not None
 
 
 def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
@@ -666,10 +670,7 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     if count_subnets(input_graph.adjacency[:n_r, :n_r]) == 1:
         identity = tuple(input_graph.features.copy() for _ in range(branches))
         return SolutionSet(
-            branch_targets=identity,
-            flight_times=np.zeros(branches),
-            subnet_counts=np.ones(branches, dtype=int),
-            k_star=1, feasible=True, iterations=0,
+            branch_targets=identity, flight_times=np.zeros(branches), k_star=1, iterations=0,
         )
 
     weights = replace(weights, matrices=tuple(m.copy() for m in weights.matrices))
@@ -679,8 +680,6 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     eval_trace: ForwardTrace | None = None
     best_times = np.full(branches, np.inf)
     best_targets: list[np.ndarray | None] = [None] * branches
-    last_metrics: BranchMetrics | None = None
-    last_output: np.ndarray | None = None
     prev_loss: float | None = None
     stable = 0
     iterations = 0
@@ -698,7 +697,6 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
             if metrics.subnet_counts[k] == 1 and metrics.flight_times[k] < best_times[k]:
                 best_times[k] = metrics.flight_times[k]
                 best_targets[k] = output[k * n: (k + 1) * n].copy()
-        last_metrics, last_output = metrics, output
 
         if prev_loss is not None and abs(head.reported - prev_loss) <= 1e-3 * max(
             abs(prev_loss), 1e-12
@@ -710,28 +708,10 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
         if stable >= 10 and np.isfinite(best_times).any():
             break
 
-    targets, times, counts = [], [], []
-    for k in range(branches):
-        if best_targets[k] is not None:
-            targets.append(best_targets[k])
-            times.append(best_times[k])
-            counts.append(1)
-        else:
-            targets.append(last_output[k * n: (k + 1) * n].copy())
-            times.append(float(last_metrics.flight_times[k]))
-            counts.append(int(last_metrics.subnet_counts[k]))
-    feasible_mask = np.isfinite(best_times)
-    if feasible_mask.any():
-        k_star = int(np.argmin(np.where(feasible_mask, best_times, np.inf))) + 1
-        feasible = True
-    else:
-        k_star, feasible = None, False
-    return SolutionSet(
-        branch_targets=tuple(targets),
-        flight_times=np.asarray(times),
-        subnet_counts=np.asarray(counts, dtype=int),
-        k_star=k_star, feasible=feasible, iterations=iterations,
-    )
+    # Unconnected branches are inf, so argmin never picks one.
+    k_star = int(np.argmin(best_times)) + 1 if np.isfinite(best_times).any() else None
+    return SolutionSet(branch_targets=tuple(best_targets), flight_times=best_times,
+                       k_star=k_star, iterations=iterations)
 
 
 def save_model(path: str | Path, weights: ModelWeights, init_seed: int,

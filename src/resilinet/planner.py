@@ -17,7 +17,7 @@ import numpy as np
 from .damage import DamageScenario, build_input_graph
 from .damage_graphs import build_graph_sequence, choose_branch_count
 from .gcn import Hyperparams, ModelWeights, build_kernel, solve
-from .swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_hops,
+from .swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_from_hops,
                     read_payload, write_payload)
 
 PLAN_VERSION = 1
@@ -69,9 +69,7 @@ def plan_learned(topology: SwarmTopology, scenario: DamageScenario,
     """
     config = config or Hyperparams()
     input_graph = build_input_graph(topology, scenario)
-    branches = choose_branch_count(
-        diameter_hops(input_graph.adjacency), config.branch_cap
-    )
+    branches = choose_branch_count(diameter_from_hops(input_graph.hops), config.branch_cap)
     seq = build_graph_sequence(input_graph, branches)
     kernel = build_kernel(seq)
     solution = solve(input_graph, seq, kernel, weights, topology.comm_range,
@@ -113,7 +111,8 @@ def save_plan(path: str | Path, plan: RecoveryPlan, scenario_ref: str = "") -> N
 
 def load_plan(path: str | Path) -> RecoveryPlan:
     payload = read_payload(path, "plan", PLAN_VERSION,
-                           {"method": "string", "targets": "list", "planned_T_rc_s": "number"})
+                           {"method": "string", "targets": "list of number pairs",
+                            "planned_T_rc_s": "number"})
     targets = np.asarray(payload["targets"], dtype=float)
     if targets.ndim != 2 or targets.shape[1] != 2 or not np.all(np.isfinite(targets)):
         raise ValueError("plan file field 'targets' must be a finite (m, 2) array")

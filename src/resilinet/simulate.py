@@ -26,7 +26,7 @@ from .gcn import Hyperparams, ModelWeights
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, RecoveryPlan,
                       plan_centering, plan_learned, verify_plan)
 from .swarm import (DegreeStats, GenerationError, build_adjacency, count_subnets,
-                    degree_stats, generate_swarm, require_fields, write_csv,
+                    degree_cdf, degree_stats, generate_swarm, require_fields, write_csv,
                     write_payload)
 
 RESULTS_VERSION = 1
@@ -264,14 +264,7 @@ def _summarize(spec: ExperimentSpec, trials: list[TrialRecord]) -> list[CellSumm
             eligible = [t for t in cell if not t.skipped]
             converged = [t for t in eligible if t.converged]
             times = np.asarray([t.measured_s for t in converged], dtype=float)
-            degrees = np.concatenate(
-                [np.asarray(t.final_degrees, dtype=int) for t in converged]
-            ) if converged else np.empty(0, dtype=int)
-            if degrees.size:
-                max_d = int(degrees.max())
-                cdf = tuple(float(np.mean(degrees <= d)) for d in range(max_d + 1))
-            else:
-                cdf = ()
+            degrees = [d for t in converged for d in t.final_degrees]
             summary.append(CellSummary(
                 method=method, n=spec.n, n_d=n_d,
                 r_c=(len(converged) / len(eligible)) if eligible else None,
@@ -284,7 +277,7 @@ def _summarize(spec: ExperimentSpec, trials: list[TrialRecord]) -> list[CellSumm
                         if converged else None,
                 trials=len(eligible),
                 skipped=len(cell) - len(eligible),
-                degree_cdf=cdf,
+                degree_cdf=tuple(degree_cdf(degrees).tolist()),
             ))
     return summary
 

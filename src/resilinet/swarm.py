@@ -58,15 +58,10 @@ class SwarmTopology:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Per-node degrees, their mean/max, and the cumulative distribution.
-
-    ``cumulative[d]`` is the fraction of nodes with degree <= d, for
-    d = 0..max_degree; the last entry is always 1.
-    """
+    """Per-node degrees and their mean/max; ``degree_cdf`` gives the distribution."""
 
     mean: float
     max_degree: int
-    cumulative: np.ndarray
     degrees: np.ndarray
 
 
@@ -154,20 +149,27 @@ def count_subnets(adj: np.ndarray) -> int:
 
 
 def degree_stats(adj: np.ndarray) -> DegreeStats:
-    """Degree summary of a graph, including the cumulative distribution."""
+    """Degree summary of a graph."""
     deg = np.asarray(adj).sum(axis=1).astype(int)
-    max_degree = int(deg.max()) if deg.size else 0
-    cumulative = np.array([float(np.mean(deg <= d)) for d in range(max_degree + 1)])
-    return DegreeStats(mean=float(deg.mean()), max_degree=max_degree,
-                       cumulative=cumulative, degrees=deg)
+    return DegreeStats(mean=float(deg.mean()), max_degree=int(deg.max(initial=0)), degrees=deg)
+
+
+def degree_cdf(degrees: np.ndarray) -> np.ndarray:
+    """Fraction of nodes with degree <= d, for d = 0..max degree (empty for no nodes)."""
+    deg = np.asarray(degrees, dtype=int)
+    return np.cumsum(np.bincount(deg)) / deg.size
+
+
+def diameter_from_hops(hops: np.ndarray) -> int:
+    """Largest entry of a hop matrix; raises ValueError if a pair is unreachable."""
+    if np.isinf(hops).any():
+        raise ValueError("graph is disconnected; hop diameter undefined")
+    return int(hops.max())
 
 
 def diameter_hops(adj: np.ndarray) -> int:
     """Maximum finite hop distance; raises ValueError on disconnected graphs."""
-    hops = hop_distances(adj)
-    if np.isinf(hops).any():
-        raise ValueError("graph is disconnected; hop diameter undefined")
-    return int(hops.max())
+    return diameter_from_hops(hop_distances(adj))
 
 
 def save_topology(path: str | Path, topology: SwarmTopology) -> None:
@@ -210,8 +212,24 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable])
         writer.writerows(map(_csv_cell, row) for row in rows)
 
 
-_JSON_TYPES = {"list": (list,), "integer": (int,), "number": (int, float),
-               "number or null": (int, float, type(None)), "string": (str,)}
+def _is(*types):
+    # A bool is never a number, although Python counts it as an int.
+    return lambda value: isinstance(value, types) and not isinstance(value, bool)
+
+
+def _list_of(element):
+    return lambda value: isinstance(value, list) and all(map(element, value))
+
+
+_NUMBER = _is(int, float)
+_NUMBER_LIST = _list_of(_NUMBER)
+# Each JSON type name maps to the test a parsed value must pass.
+_JSON_TYPES = {
+    "list": _is(list), "integer": _is(int), "number": _NUMBER, "string": _is(str),
+    "number or null": lambda value: value is None or _NUMBER(value),
+    "list of integers": _list_of(_is(int)),
+    "list of number pairs": _list_of(lambda pair: _NUMBER_LIST(pair) and len(pair) == 2),
+}
 
 
 def require_fields(payload: object, kind: str, fields: Mapping[str, str]) -> None:
@@ -224,9 +242,7 @@ def require_fields(payload: object, kind: str, fields: Mapping[str, str]) -> Non
     for field, json_type in fields.items():
         if field not in payload:
             raise ValueError(f"{kind} lacks required field {field!r}")
-        value = payload[field]
-        # A bool is never a number, although Python counts it as an int.
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+        if not _JSON_TYPES[json_type](payload[field]):
             raise ValueError(f"{kind} field {field!r} must be a JSON {json_type}")
 
 
@@ -251,8 +267,8 @@ def read_payload(path: str | Path, kind: str, version: int,
 
 def load_topology(path: str | Path) -> SwarmTopology:
     payload = read_payload(path, "topology", TOPOLOGY_VERSION,
-                           {"positions": "list", "n": "integer", "d_tr_m": "number",
-                            "side_m": "number"})
+                           {"positions": "list of number pairs", "n": "integer",
+                            "d_tr_m": "number", "side_m": "number"})
     positions = np.asarray(payload["positions"], dtype=float)
     if positions.shape[0] != payload["n"]:
         raise ValueError("topology file is inconsistent: n does not match positions")

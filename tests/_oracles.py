@@ -59,6 +59,14 @@ def bfs_hops_single(adj: np.ndarray, source: int) -> np.ndarray:
     return hops
 
 
+def loop_degree_cdf(degrees: np.ndarray) -> np.ndarray:
+    """Degree CDF with one comparison pass per degree value; empty for no nodes."""
+    deg = np.asarray(degrees, dtype=int)
+    if not deg.size:
+        return np.empty(0)
+    return np.array([float(np.mean(deg <= d)) for d in range(int(deg.max()) + 1)])
+
+
 def eigencount_components(adj: np.ndarray) -> int:
     """Component count as the number of near-zero Laplacian eigenvalues."""
     a = np.asarray(adj, dtype=float)

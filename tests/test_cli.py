@@ -282,6 +282,61 @@ class TestMalformedInput:
         assert f"{kind} file {files[kind]} is not valid JSON: Expecting property name" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("destroyed", [[None], [1.5, 3], [True, 3], ["2"], [[1, 2], [3, 4]]],
+                             ids=["null", "fraction", "bool", "string", "nested"])
+    def test_scenario_with_a_bad_element(self, tmp_path, capsys, destroyed):
+        files = self._inputs(tmp_path)
+        files["scenario"].write_text(json.dumps({"version": 1, "topology_ref": "",
+                                                 "destroyed": destroyed}))
+        capsys.readouterr()
+        assert run("plan", "--method", "centering", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]),
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario file field 'destroyed' must be a JSON list of integers" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan.json").exists()
+
+    @pytest.mark.parametrize("kind, field", [("topology", "positions"), ("plan", "targets")])
+    @pytest.mark.parametrize("point", [["1", 2.0], [True, 2.0], [None, 2.0], [1.0],
+                                       [1.0, 2.0, 3.0], 1.0],
+                             ids=["string", "bool", "null", "short", "long", "flat"])
+    def test_point_list_with_a_bad_element(self, tmp_path, capsys, kind, field, point):
+        files = self._inputs(tmp_path)
+        files["plan"] = tmp_path / "plan.json"
+        assert run("plan", "--method", "centering", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]),
+                   "--out", str(files["plan"])) == EXIT_OK
+        payload = json.loads(files[kind].read_text())
+        payload[field][1] = point
+        files[kind].write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("simulate", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--plan", str(files["plan"]),
+                   "--out", str(tmp_path / "sim.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{kind} file field '{field}' must be a JSON list of number pairs" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim.json").exists()
+
+    def test_learned_plan_on_a_disconnected_topology(self, tmp_path, capsys):
+        files = self._inputs(tmp_path)
+        cluster = [[0.0, 0.0], [50.0, 0.0], [0.0, 50.0], [50.0, 50.0]]
+        positions = cluster + [[x + 5000.0, y + 5000.0] for x, y in cluster]
+        files["topology"].write_text(json.dumps({
+            "version": 1, "n": 8, "d_tr_m": 120.0, "side_m": 5050.0, "positions": positions}))
+        files["scenario"].write_text(json.dumps({"version": 1, "topology_ref": "",
+                                                 "destroyed": [1]}))
+        capsys.readouterr()
+        assert run("plan", "--method", "ml-dagl", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--model", str(files["model"]),
+                   "--hidden-dim", "4", "--blocks", "1",
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "graph is disconnected" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan.json").exists()
+
     def test_plan_with_a_non_finite_model(self, tmp_path, capsys):
         files = self._inputs(tmp_path)
         write_non_finite_model(files["model"])

@@ -16,7 +16,8 @@ from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
                            normalize_features, per_branch_metrics, pretrain,
                            reported_loss, save_model, solve, upscale_features,
                            write_loss_curve, BranchMetrics)
-from resilinet.swarm import SwarmTopology, count_subnets, diameter_hops, generate_swarm
+from resilinet.swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_hops,
+                             generate_swarm)
 
 from _oracles import dense_forward_reference, functional_adam_step
 
@@ -487,8 +488,34 @@ class TestSolve:
         weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
         solution = solve(graph_in, seq, kernel, weights, topo.comm_range, TINY, seed=2)
         assert solution.feasible
-        assert solution.subnet_counts[solution.k_star - 1] == 1
+        targets = solution.branch_targets[solution.k_star - 1][: graph_in.n_remaining]
+        assert count_subnets(build_adjacency(targets, topo.comm_range)) == 1
         assert solution.iterations <= TINY.online_iters
+
+    @pytest.mark.parametrize("split", [[0], [0, 1]], ids=["first-branch", "every-branch"])
+    def test_a_branch_never_connected_holds_none(self, monkeypatch, split):
+        topo, scenario, graph_in, seq = small_case(33, n=16, n_d=7)
+        real = gcn.per_branch_metrics
+
+        def split_branches(*args):
+            metrics = real(*args)
+            metrics.subnet_counts[split] = 2
+            return metrics
+
+        monkeypatch.setattr(gcn, "per_branch_metrics", split_branches)
+        weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
+        config = Hyperparams(hidden_dim=8, blocks=1, dropout=0.0, online_iters=5)
+        solution = solve(graph_in, seq, build_kernel(seq), weights, topo.comm_range,
+                         config, seed=2)
+        assert seq.branches == 2
+        for k in split:
+            assert solution.branch_targets[k] is None
+            assert solution.flight_times[k] == np.inf
+        if len(split) == seq.branches:
+            assert solution.k_star is None and not solution.feasible
+        else:
+            assert solution.k_star == 2 and solution.feasible
+            assert solution.branch_targets[1].shape == (seq.n, 2)
 
     def test_input_weights_never_mutated(self):
         topo, scenario, graph_in, seq = small_case(34, n=16, n_d=7)

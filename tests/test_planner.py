@@ -1,10 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from resilinet import swarm
 from resilinet.damage import DamageScenario, apply_damage, remaining_adjacency
-from resilinet.gcn import Hyperparams, ModelWeights
+from resilinet.gcn import Hyperparams, ModelWeights, pretrain
 from resilinet.planner import (METHOD_CENTERING, METHOD_FALLBACK, METHOD_LEARNED,
                                RecoveryPlan, load_plan, plan_centering,
                                plan_learned, save_plan, verify_plan)
@@ -103,6 +105,48 @@ class TestPlanLearned:
         start = topo.positions[scenario.remaining]
         expected = np.linalg.norm(plan.targets - start, axis=1).max() / TINY.max_speed
         assert plan.planned_time == pytest.approx(expected)
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Wrap every binding of ``function`` in every loaded resilinet module.
+
+    A name imported into another module is a binding of its own, so each one
+    is found by identity and patched; the returned list grows by one per call.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "resilinet" or name.startswith("resilinet."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOneHopPass:
+    """The branch count and every branch come from one all-pairs hop pass."""
+
+    def test_plan_learned(self, monkeypatch):
+        topo = generate_swarm(16, 200.0, 120.0, seed=26)
+        scenario = apply_damage(topo, 7, seed=76)
+        weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
+        hops = count_calls(monkeypatch, swarm.hop_distances)
+        diameters = count_calls(monkeypatch, swarm.diameter_hops)
+        plan_learned(topo, scenario, weights, Hyperparams(
+            hidden_dim=8, blocks=1, dropout=0.0, online_iters=2), seed=0)
+        assert len(hops) == 1
+        assert diameters == []
+
+    def test_pretrain(self, monkeypatch):
+        hops = count_calls(monkeypatch, swarm.hop_distances)
+        diameters = count_calls(monkeypatch, swarm.diameter_hops)
+        pretrain(16, 200.0, 120.0, seed=3, config=TINY)
+        assert len(hops) == 1
+        assert diameters == []
 
 
 class TestPlanFile:

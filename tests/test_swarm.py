@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from resilinet.swarm import (GenerationError, SwarmTopology, _pairwise_sq_distances,
                              build_adjacency, component_labels, count_subnets,
-                             degree_stats, diameter_hops, generate_swarm,
+                             degree_cdf, degree_stats, diameter_hops, generate_swarm,
                              hop_distances, load_topology, save_topology, write_csv)
 
 from _oracles import (bfs_hops_single, eigencount_components, einsum_adjacency,
                       einsum_sq_distances, floyd_warshall_hops,
-                      int8_csr_component_labels)
+                      int8_csr_component_labels, loop_degree_cdf)
 
 # Integer-valued coordinates make exact boundary pairs and duplicates likely.
 COORDS = st.one_of(st.integers(-60, 60).map(float),
@@ -203,8 +203,9 @@ class TestDegreeStats:
         stats = degree_stats(adj)
         assert stats.mean == pytest.approx(2.0)
         assert stats.max_degree == 2
-        assert stats.cumulative[1] == 0.0
-        assert stats.cumulative[2] == 1.0
+        cdf = degree_cdf(stats.degrees)
+        assert cdf[1] == 0.0
+        assert cdf[2] == 1.0
 
     def test_star(self):
         adj = np.zeros((4, 4), dtype=bool)
@@ -217,15 +218,27 @@ class TestDegreeStats:
     def test_empty_graph(self):
         stats = degree_stats(np.zeros((4, 4), dtype=bool))
         assert stats.mean == 0.0
-        assert np.array_equal(stats.cumulative, [1.0])
+        assert np.array_equal(degree_cdf(stats.degrees), [1.0])
 
     def test_cumulative_is_a_distribution(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             pts = rng.uniform(0, 500, size=(15, 2))
-            stats = degree_stats(build_adjacency(pts, 140.0))
-            assert np.all(np.diff(stats.cumulative) >= 0)
-            assert stats.cumulative[-1] == 1.0
+            cdf = degree_cdf(degree_stats(build_adjacency(pts, 140.0)).degrees)
+            assert np.all(np.diff(cdf) >= 0)
+            assert cdf[-1] == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=300))
+    @example([])
+    @example([0, 0, 0])
+    @example([0])
+    @example([7])
+    def test_cdf_matches_the_loop_reference_bytewise(self, degrees):
+        got = degree_cdf(np.asarray(degrees, dtype=int))
+        ref = loop_degree_cdf(np.asarray(degrees, dtype=int))
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestDiameterHops:
