@@ -14,8 +14,8 @@ from .damage_graphs import (DamageGraphSequence, SparsityReport,
 from .gcn import (Hyperparams, ModelWeights, PretrainResult, TrainingDivergence,
                   kernel_flow, load_model, pretrain, save_model, write_loss_curve)
 from .planner import (METHOD_CENTERING, METHOD_FALLBACK, METHOD_LEARNED,
-                      RecoveryPlan, load_plan, plan_centering, plan_learned,
-                      save_plan, verify_plan)
+                      PLAN_METHODS, RecoveryPlan, load_plan, plan_centering,
+                      plan_learned, plan_recovery, save_plan, verify_plan)
 from .simulate import (ExperimentResults, ExperimentSpec, SimResult,
                        export_results, run_experiment, simulate_recovery,
                        write_summary_csv)

@@ -1,9 +1,10 @@
 """Command-line pipeline: gen, damage, pretrain, plan, simulate, experiment, report.
 
 Every command is reproducible from (config, seed) and echoes its effective
-configuration into the output metadata.  Option precedence is flags over
-config file over defaults; the RESILINET_SEED environment variable supplies
-the seed when neither a flag nor the config file does.
+configuration into the output metadata.  ``_options`` resolves every option
+once: flags over config file over defaults; the RESILINET_SEED environment
+variable supplies the seed when neither a flag nor the config file does.
+One ``max_speed`` drives the planner, the simulator and the recovery budget.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 generation/damage
 failure, 4 training divergence.
@@ -20,8 +21,8 @@ from pathlib import Path
 from .damage import (DamageError, apply_damage, load_scenario, save_scenario)
 from .gcn import (Hyperparams, TrainingDivergence, load_model, pretrain,
                   save_model, write_loss_curve)
-from .planner import (METHOD_CENTERING, METHOD_LEARNED, load_plan, plan_centering,
-                      plan_learned, save_plan, verify_plan)
+from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, load_plan,
+                      plan_recovery, save_plan)
 from .simulate import (ExperimentSpec, export_results, run_experiment,
                        simulate_recovery, write_summary_csv)
 from .swarm import (GenerationError, generate_swarm, load_topology, read_json,
@@ -45,25 +46,21 @@ HYPER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Hyperparams)
                   if f.name != "max_speed"}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ConfigError("config file must contain a JSON object")
+        raise ValueError("config file must contain a JSON object")
     hyper = payload.get("hyper", {})
     if not isinstance(hyper, dict):
-        raise ConfigError("config key 'hyper' must be a JSON object")
+        raise ValueError("config key 'hyper' must be a JSON object")
     for key in hyper:
         if key not in HYPER_DEFAULTS:
-            raise ConfigError(f"unknown config key 'hyper.{key}' "
+            raise ValueError(f"unknown config key 'hyper.{key}' "
                               f"(known: {', '.join(sorted(HYPER_DEFAULTS))})")
     # Every numeric option must have the JSON type of its default.
     kinds = {key: "integer" if isinstance(default, int) else "number"
@@ -73,30 +70,26 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
-def _pick(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _options(args: argparse.Namespace) -> tuple[dict, Hyperparams]:
+    """Every ``DEFAULTS`` option, typed like its default, and the ``Hyperparams``.
 
-
-def _seed(args: argparse.Namespace, config: dict) -> int:
-    value = _pick(args, config, "seed")
-    if value is None:
-        env = os.environ.get("RESILINET_SEED")
-        value = int(env) if env else DEFAULTS["seed"]
-    return int(value)
-
-
-def _hyper(args: argparse.Namespace, config: dict, max_speed: float) -> Hyperparams:
-    hyper_cfg = dict(config.get("hyper", {}))
-    for key in HYPER_DEFAULTS:
+    Each option is the flag, else the config file's value, else (seed only)
+    RESILINET_SEED, else the default.  The ``Hyperparams`` take the config's
+    ``hyper`` object, the hyper flags over it, and the resolved ``max_speed``.
+    """
+    config = _load_config(args.config)
+    options = {}
+    for key, default in DEFAULTS.items():
         value = getattr(args, key, None)
-        if value is not None:
-            hyper_cfg[key] = value
-    return Hyperparams(max_speed=max_speed, **hyper_cfg)
+        if value is None:
+            value = config.get(key)
+        if value is None and key == "seed" and os.environ.get("RESILINET_SEED"):
+            value = int(os.environ["RESILINET_SEED"])
+        options[key] = type(default)(default if value is None else value)
+    hyper = dict(config.get("hyper", {}))
+    hyper.update((key, getattr(args, key)) for key in HYPER_DEFAULTS
+                 if getattr(args, key, None) is not None)
+    return options, Hyperparams(max_speed=options["max_speed"], **hyper)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -123,20 +116,17 @@ def _add_hyper_params(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    n = int(_pick(args, config, "n", DEFAULTS["n"]))
-    density = float(_pick(args, config, "density", DEFAULTS["density"]))
-    comm_range = float(_pick(args, config, "comm_range", DEFAULTS["comm_range"]))
-    topology = generate_swarm(n, density, comm_range, _seed(args, config))
+    opts, _ = _options(args)
+    topology = generate_swarm(opts["n"], opts["density"], opts["comm_range"], opts["seed"])
     save_topology(args.out, topology)
-    print(f"wrote topology: n={n} side={topology.side:.1f} m -> {args.out}")
+    print(f"wrote topology: n={opts['n']} side={topology.side:.1f} m -> {args.out}")
     return EXIT_OK
 
 
 def cmd_damage(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    opts, _ = _options(args)
     topology = load_topology(args.topology)
-    scenario = apply_damage(topology, args.nd, _seed(args, config),
+    scenario = apply_damage(topology, args.nd, opts["seed"],
                             require_split=not args.no_require_split)
     save_scenario(args.out, scenario, topology_ref=str(args.topology))
     print(f"wrote scenario: destroyed {scenario.n_destroyed}/{topology.n} -> {args.out}")
@@ -144,15 +134,9 @@ def cmd_damage(args: argparse.Namespace) -> int:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    n = int(_pick(args, config, "n", DEFAULTS["n"]))
-    density = float(_pick(args, config, "density", DEFAULTS["density"]))
-    comm_range = float(_pick(args, config, "comm_range", DEFAULTS["comm_range"]))
-    max_speed = float(_pick(args, config, "max_speed", DEFAULTS["max_speed"]))
-    hyper = _hyper(args, config, max_speed)
-    seed = _seed(args, config)
-    result = pretrain(n, density, comm_range, seed, hyper)
-    save_model(args.out, result.weights, init_seed=seed, metadata=result.metadata)
+    opts, hyper = _options(args)
+    result = pretrain(opts["n"], opts["density"], opts["comm_range"], opts["seed"], hyper)
+    save_model(args.out, result.weights, init_seed=opts["seed"], metadata=result.metadata)
     if args.loss_curve:
         write_loss_curve(args.loss_curve, result.curve)
     print(f"pretrained: loss {result.metadata['first_loss']:.3f} -> "
@@ -161,32 +145,22 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    opts, hyper = _options(args)
     topology = load_topology(args.topology)
     scenario = load_scenario(args.scenario, topology.n)
-    max_speed = float(_pick(args, config, "max_speed", DEFAULTS["max_speed"]))
-    if args.method == METHOD_CENTERING:
-        plan = plan_centering(topology, scenario, max_speed)
-    else:
-        if not args.model:
-            raise ConfigError("--model is required for method 'ml-dagl'")
-        weights, _ = load_model(args.model)
-        hyper = _hyper(args, config, max_speed)
-        plan = plan_learned(topology, scenario, weights, hyper, seed=_seed(args, config))
-    if not verify_plan(plan, topology.comm_range):
-        raise AssertionError("planner produced a disconnected plan")
+    weights = load_model(args.model)[0] if args.model else None
+    plan = plan_recovery(args.method, topology, scenario, hyper, weights, seed=opts["seed"])
     save_plan(args.out, plan, scenario_ref=str(args.scenario))
     print(f"wrote plan: method={plan.method} planned_T={plan.planned_time:.2f} s -> {args.out}")
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    opts, _ = _options(args)
     topology = load_topology(args.topology)
     scenario = load_scenario(args.scenario, topology.n)
     plan = load_plan(args.plan)
-    max_speed = float(_pick(args, config, "max_speed", DEFAULTS["max_speed"]))
-    step_s = float(_pick(args, config, "step_s", DEFAULTS["step_s"]))
+    max_speed, step_s = opts["max_speed"], opts["step_s"]
     t_max = args.t_max if args.t_max is not None else topology.side / (2 * max_speed)
     start = topology.positions[scenario.remaining]
     sim = simulate_recovery(start, plan, max_speed, step_s, topology.comm_range, t_max)
@@ -210,30 +184,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    methods = tuple(args.methods.split(",")) if args.methods else (METHOD_CENTERING,)
-    for method in methods:
-        if method not in (METHOD_CENTERING, METHOD_LEARNED):
-            raise ConfigError(f"unknown method: {method!r}")
-    weights = None
-    if METHOD_LEARNED in methods:
-        if not args.model:
-            raise ConfigError("--model is required when methods include 'ml-dagl'")
-        weights, _ = load_model(args.model)
-    max_speed = float(_pick(args, config, "max_speed", DEFAULTS["max_speed"]))
+    opts, hyper = _options(args)
     spec = ExperimentSpec(
-        n=int(_pick(args, config, "n", DEFAULTS["n"])),
-        density_per_km2=float(_pick(args, config, "density", DEFAULTS["density"])),
-        comm_range=float(_pick(args, config, "comm_range", DEFAULTS["comm_range"])),
-        max_speed=max_speed,
-        step_s=float(_pick(args, config, "step_s", DEFAULTS["step_s"])),
+        n=opts["n"], density_per_km2=opts["density"], comm_range=opts["comm_range"],
+        max_speed=opts["max_speed"], step_s=opts["step_s"],
         damage_sizes=tuple(int(v) for v in args.nd.split(",")),
         trials=args.trials,
-        master_seed=_seed(args, config),
-        methods=methods,
+        master_seed=opts["seed"],
+        methods=tuple(args.methods.split(",")),
         t_max=args.t_max,
     )
-    hyper = _hyper(args, config, max_speed)
+    weights = load_model(args.model)[0] if args.model else None
     results = run_experiment(spec, weights=weights, config=hyper, jobs=args.jobs)
     paths = export_results(results, args.out_dir)
     for cell in results.summary:
@@ -296,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper_params(p)
     p.add_argument("--topology", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--method", choices=[METHOD_LEARNED, METHOD_CENTERING],
-                   default=METHOD_LEARNED)
+    p.add_argument("--method", choices=PLAN_METHODS, default=METHOD_LEARNED)
     p.add_argument("--model", help="pretrained model file (ml-dagl)")
     p.add_argument("--max-speed", dest="max_speed", type=float)
     p.add_argument("--out", required=True)
@@ -321,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper_params(p)
     p.add_argument("--nd", required=True, help="damage sizes, comma separated")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--methods", help="comma separated: centering,ml-dagl")
+    p.add_argument("--methods", default=METHOD_CENTERING,
+                   help="comma separated: centering,ml-dagl")
     p.add_argument("--model", help="pretrained model file (for ml-dagl)")
     p.add_argument("--max-speed", dest="max_speed", type=float)
     p.add_argument("--step", dest="step_s", type=float)
@@ -343,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (GenerationError, DamageError) as exc:

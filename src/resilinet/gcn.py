@@ -66,6 +66,8 @@ class Hyperparams:
             raise ValueError("dropout must be in [0, 1)")
         if self.online_iters < 1 or self.pretrain_iters < 1:
             raise ValueError("iteration counts must be at least 1")
+        if not self.max_speed > 0:
+            raise ValueError("max_speed must be positive")
 
     def resolve_gap_penalty(self, comm_range: float) -> float:
         """One full penalty unit per communication range of residual component gap."""

@@ -4,8 +4,9 @@ Methods are identified by the wire strings "ml-dagl" (the learned planner),
 "centering" (every survivor flies to the swarm centroid), and
 "fallback-centroid" (the centroid plan substituted when the learned solver
 never produced a feasible branch, or produced one worse than the centroid
-bound).  Every plan returned here is connected under the communication
-range, so downstream simulation always recovers.
+bound).  Callers choose one of ``PLAN_METHODS`` through ``plan_recovery``,
+which checks that the plan is connected under the communication range, so
+downstream simulation always recovers.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ PLAN_VERSION = 1
 METHOD_LEARNED = "ml-dagl"
 METHOD_CENTERING = "centering"
 METHOD_FALLBACK = "fallback-centroid"
+# The methods a caller may ask for; a learned plan may come back as a fallback.
+PLAN_METHODS = (METHOD_LEARNED, METHOD_CENTERING)
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,21 @@ def plan_learned(topology: SwarmTopology, scenario: DamageScenario,
     )
 
 
+def plan_recovery(method: str, topology: SwarmTopology, scenario: DamageScenario,
+                  config: Hyperparams, weights: ModelWeights | None = None,
+                  seed: int = 0) -> RecoveryPlan:
+    """Plan by one of ``PLAN_METHODS`` at ``config.max_speed``, then verify the plan."""
+    if method == METHOD_CENTERING:
+        plan = plan_centering(topology, scenario, config.max_speed)
+    elif weights is None:
+        raise ValueError(f"method {METHOD_LEARNED!r} needs pretrained weights (--model)")
+    else:
+        plan = plan_learned(topology, scenario, weights, config, seed=seed)
+    if not verify_plan(plan, topology.comm_range):
+        raise AssertionError(f"{method} produced a disconnected plan")
+    return plan
+
+
 def verify_plan(plan: RecoveryPlan, comm_range: float) -> bool:
     """Hard feasibility gate: the target graph must be a single component."""
     return count_subnets(build_adjacency(plan.targets, comm_range)) == 1
@@ -111,8 +129,9 @@ def save_plan(path: str | Path, plan: RecoveryPlan, scenario_ref: str = "") -> N
 
 def load_plan(path: str | Path) -> RecoveryPlan:
     payload = read_payload(path, "plan", PLAN_VERSION,
-                           {"method": "string", "targets": "list of number pairs",
-                            "planned_T_rc_s": "number"})
+                           {"method": (*PLAN_METHODS, METHOD_FALLBACK),
+                            "k_star": "positive integer or null",
+                            "targets": "list of number pairs", "planned_T_rc_s": "number"})
     targets = np.asarray(payload["targets"], dtype=float)
     if targets.ndim != 2 or targets.shape[1] != 2 or not np.all(np.isfinite(targets)):
         raise ValueError("plan file field 'targets' must be a finite (m, 2) array")
@@ -120,5 +139,5 @@ def load_plan(path: str | Path) -> RecoveryPlan:
         targets=targets,
         planned_time=float(payload["planned_T_rc_s"]),
         method=payload["method"],
-        k_star=payload.get("k_star"),
+        k_star=payload["k_star"],
     )

@@ -23,8 +23,8 @@ import numpy as np
 
 from .damage import DamageError, apply_damage
 from .gcn import Hyperparams, ModelWeights
-from .planner import (METHOD_CENTERING, METHOD_LEARNED, RecoveryPlan,
-                      plan_centering, plan_learned, verify_plan)
+from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, RecoveryPlan,
+                      plan_recovery)
 from .swarm import (DegreeStats, GenerationError, build_adjacency, count_subnets,
                     degree_cdf, degree_stats, generate_swarm, require_fields, write_csv,
                     write_payload)
@@ -70,6 +70,8 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     """
     if max_speed <= 0 or step_s <= 0:
         raise ValueError("max_speed and step_s must be positive")
+    if not t_max >= 0:
+        raise ValueError("t_max must be a non-negative number")
     positions = np.asarray(start, dtype=float).copy()
     targets = np.asarray(plan.targets, dtype=float)
     if positions.shape != targets.shape:
@@ -137,6 +139,11 @@ class ExperimentSpec:
             raise ValueError("step_s must be positive")
         if self.seeds is not None and len(self.seeds) < self.trials:
             raise ValueError("seeds must cover every trial")
+        if self.t_max is not None and not self.t_max >= 0:
+            raise ValueError("t_max must be a non-negative number")
+        for method in self.methods:
+            if method not in PLAN_METHODS:
+                raise ValueError(f"unknown method: {method!r}")
 
     @property
     def side(self) -> float:
@@ -219,16 +226,7 @@ def _run_trial(spec: ExperimentSpec, n_d: int, seed: int,
     t_max = spec.resolve_t_max()
     records = []
     for method in spec.methods:
-        if method == METHOD_CENTERING:
-            plan = plan_centering(topology, scenario, spec.max_speed)
-        elif method == METHOD_LEARNED:
-            if weights is None:
-                raise ValueError("method 'ml-dagl' needs pretrained weights")
-            plan = plan_learned(topology, scenario, weights, config, seed=solve_seed)
-        else:
-            raise ValueError(f"unknown method: {method!r}")
-        if not verify_plan(plan, spec.comm_range):
-            raise AssertionError(f"{method} produced a disconnected plan")
+        plan = plan_recovery(method, topology, scenario, config, weights, seed=solve_seed)
         sim = simulate_recovery(start, plan, spec.max_speed, spec.step_s,
                                 spec.comm_range, t_max)
         records.append(TrialRecord(
@@ -288,9 +286,14 @@ def run_experiment(spec: ExperimentSpec, weights: ModelWeights | None = None,
 
     Generation or damage failures are recorded as skipped trials (with the
     reason) and excluded from the aggregates; they are never silently
-    dropped.  Methods share each trial's topology and damage draw.
+    dropped.  Methods share each trial's topology and damage draw, and plan
+    and fly at the one speed ``spec.max_speed``, which ``config`` must match.
     """
     config = config or Hyperparams(max_speed=spec.max_speed)
+    if config.max_speed != spec.max_speed:
+        raise ValueError(f"config max_speed {config.max_speed} != spec's {spec.max_speed}")
+    if METHOD_LEARNED in spec.methods and weights is None:
+        raise ValueError(f"method {METHOD_LEARNED!r} needs pretrained weights (--model)")
     seeds = spec.trial_seeds()
     tasks = [(n_d, seeds[i]) for n_d in spec.damage_sizes for i in range(spec.trials)]
 

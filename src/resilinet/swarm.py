@@ -44,8 +44,10 @@ class SwarmTopology:
             raise ValueError("positions must be an (n, 2) array with n >= 2")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if self.comm_range <= 0:
-            raise ValueError("comm_range must be positive")
+        if not self.comm_range > 0:
+            raise ValueError("comm_range (topology file field 'd_tr_m') must be positive")
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ValueError("side (topology file field 'side_m') must be finite and positive")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -227,22 +229,30 @@ _NUMBER_LIST = _list_of(_NUMBER)
 _JSON_TYPES = {
     "list": _is(list), "integer": _is(int), "number": _NUMBER, "string": _is(str),
     "number or null": lambda value: value is None or _NUMBER(value),
+    "positive integer or null": lambda value: value is None or _is(int)(value) and value > 0,
     "list of integers": _list_of(_is(int)),
     "list of number pairs": _list_of(lambda pair: _NUMBER_LIST(pair) and len(pair) == 2),
 }
 
 
-def require_fields(payload: object, kind: str, fields: Mapping[str, str]) -> None:
+def require_fields(payload: object, kind: str,
+                   fields: Mapping[str, str | tuple[str, ...]]) -> None:
     """Raise ValueError naming ``kind`` and the first field missing or mistyped.
 
-    ``fields`` maps each required field to its JSON type, a key of ``_JSON_TYPES``.
+    ``fields`` maps each required field to its JSON type, a key of
+    ``_JSON_TYPES``, or to the tuple of strings the field may hold.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} must be a JSON object")
     for field, json_type in fields.items():
         if field not in payload:
             raise ValueError(f"{kind} lacks required field {field!r}")
-        if not _JSON_TYPES[json_type](payload[field]):
+        value = payload[field]
+        if isinstance(json_type, tuple):
+            if value not in json_type:
+                raise ValueError(f"{kind} field {field!r} must be one of "
+                                 f"{', '.join(map(repr, json_type))}")
+        elif not _JSON_TYPES[json_type](value):
             raise ValueError(f"{kind} field {field!r} must be a JSON {json_type}")
 
 

@@ -185,8 +185,10 @@ class TestMalformedInput:
          "config key 'hyper' must be a JSON object"),
         ({"n": None}, ["gen"], "config file field 'n' must be a JSON integer"),
         ({"density": "dense"}, ["gen"], "config file field 'density' must be a JSON number"),
+        ({"hyper": {"hidden_dim": 0}}, ["gen"], "hidden_dim and blocks must be at least 1"),
+        ({"max_speed": 0}, ["gen"], "max_speed must be positive"),
     ], ids=["hyper-unknown", "hyper-deleted-knob", "hyper-string", "hyper-not-object",
-            "n-null", "density-string"])
+            "n-null", "density-string", "hyper-rejected-on-gen", "max-speed-zero"])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -316,6 +318,37 @@ class TestMalformedInput:
                    "--out", str(tmp_path / "sim.json")) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{kind} file field '{field}' must be a JSON list of number pairs" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim.json").exists()
+
+    @pytest.mark.parametrize("kind, field, value, argv, message", [
+        ("topology", "side_m", -100, [], "topology file field 'side_m'"),
+        ("topology", "side_m", 0, [], "topology file field 'side_m'"),
+        ("topology", "d_tr_m", float("nan"), [], "topology file field 'd_tr_m'"),
+        ("topology", None, None, ["--t-max", "nan"], "t_max must be a non-negative number"),
+        ("plan", "k_star", "x", [],
+         "plan file field 'k_star' must be a JSON positive integer or null"),
+        ("plan", "method", "", [], "plan file field 'method' must be one of 'ml-dagl', "
+                                   "'centering', 'fallback-centroid'"),
+    ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "k-star-string",
+            "method-empty"])
+    def test_simulate_rejects_a_bad_value(self, tmp_path, capsys, kind, field, value, argv,
+                                          message):
+        files = self._inputs(tmp_path)
+        files["plan"] = tmp_path / "plan.json"
+        assert run("plan", "--method", "centering", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]),
+                   "--out", str(files["plan"])) == EXIT_OK
+        if field is not None:
+            payload = json.loads(files[kind].read_text())
+            payload[field] = value
+            files[kind].write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("simulate", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--plan", str(files["plan"]),
+                   "--out", str(tmp_path / "sim.json"), *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "sim.json").exists()
 

@@ -175,7 +175,7 @@ class TestPlanFile:
         with pytest.raises(ValueError, match="targets"):
             load_plan(path)
 
-    @pytest.mark.parametrize("field", ["method", "targets", "planned_T_rc_s"])
+    @pytest.mark.parametrize("field", ["method", "k_star", "targets", "planned_T_rc_s"])
     def test_rejects_missing_field(self, tmp_path, field):
         path = tmp_path / "plan.json"
         save_plan(path, plan_centering(square_topology(), DamageScenario(

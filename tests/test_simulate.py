@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from resilinet.damage import apply_damage
+from resilinet.gcn import Hyperparams, pretrain
 from resilinet.planner import (METHOD_CENTERING, RecoveryPlan, plan_centering,
                                verify_plan)
 from resilinet.simulate import (ExperimentSpec, SUMMARY_COLUMNS, TRIAL_COLUMNS,
@@ -80,6 +81,14 @@ class TestSimulateRecovery:
         with pytest.raises(ValueError):
             simulate_recovery(start, still_plan(start), 0.0, 0.1, 120.0, 1.0)
 
+    @pytest.mark.parametrize("t_max", [float("nan"), -1.0])
+    def test_rejects_bad_budget(self, t_max):
+        start = np.array([[0.0, 0.0], [10.0, 0.0]])
+        with pytest.raises(ValueError, match="t_max"):
+            simulate_recovery(start, still_plan(start), 10.0, 0.1, 120.0, t_max)
+        with pytest.raises(ValueError, match="t_max"):
+            ExperimentSpec(n=20, t_max=t_max)
+
 
 class TestTrialSeeds:
     def test_prefix_stability(self):
@@ -139,17 +148,30 @@ class TestRunExperiment:
         assert cell.r_c is None
 
     def test_learned_method_requires_weights(self):
-        with pytest.raises(ValueError):
-            run_experiment(self.spec(methods=("ml-dagl",)))
+        # n_d = 19 skips every trial: the check comes before any trial runs.
+        for damage_sizes in ((9,), (19,)):
+            with pytest.raises(ValueError, match="needs pretrained weights"):
+                run_experiment(self.spec(methods=("ml-dagl",), damage_sizes=damage_sizes))
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_experiment(self.spec(methods=("teleport",)))
+        with pytest.raises(ValueError, match="unknown method: 'teleport'"):
+            self.spec(methods=("teleport",))
+
+    def test_planner_speed_must_match_the_experiment(self):
+        with pytest.raises(ValueError, match="max_speed"):
+            run_experiment(self.spec(max_speed=5.0), config=Hyperparams())
 
     def test_parallel_jobs_match_serial(self):
         spec = self.spec(trials=2)
         serial = run_experiment(spec, jobs=1)
         parallel = run_experiment(spec, jobs=2)
+        assert results_to_dict(serial) == results_to_dict(parallel)
+
+        tiny = Hyperparams(hidden_dim=8, blocks=1, pretrain_iters=1, online_iters=3)
+        weights = pretrain(20, 200.0, 120.0, seed=3, config=tiny).weights
+        spec = self.spec(trials=2, methods=(METHOD_CENTERING, "ml-dagl"))
+        serial = run_experiment(spec, weights=weights, config=tiny, jobs=1)
+        parallel = run_experiment(spec, weights=weights, config=tiny, jobs=2)
         assert results_to_dict(serial) == results_to_dict(parallel)
 
 
