@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -49,12 +48,8 @@ HYPER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Hyperparams)
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError("config file must contain a JSON object")
+    payload = read_json(path, "config")
+    require_fields(payload, "config file", {})
     hyper = payload.get("hyper", {})
     if not isinstance(hyper, dict):
         raise ValueError("config key 'hyper' must be a JSON object")

@@ -86,16 +86,13 @@ def apply_damage(topology: SwarmTopology, n_destroyed: int, seed: int,
     n = topology.n
     if not 1 <= n_destroyed <= n - 1:
         raise ValueError("n_destroyed must be in [1, n-1]")
-    adj = topology.adjacency()
     all_indices = np.arange(n)
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         destroyed = np.sort(rng.choice(n, size=n_destroyed, replace=False))
         remaining = np.setdiff1d(all_indices, destroyed, assume_unique=True)
         scenario = DamageScenario(destroyed=destroyed, remaining=remaining)
-        if not require_split:
-            return scenario
-        if count_subnets(adj[np.ix_(remaining, remaining)]) >= 2:
+        if not require_split or count_subnets(remaining_adjacency(topology, scenario)) >= 2:
             return scenario
     raise DamageError(
         f"no network split obtained destroying {n_destroyed}/{n} nodes "
@@ -105,9 +102,8 @@ def apply_damage(topology: SwarmTopology, n_destroyed: int, seed: int,
 
 def remaining_adjacency(topology: SwarmTopology, scenario: DamageScenario) -> np.ndarray:
     """Induced subgraph of the pre-damage adjacency on the surviving nodes."""
-    adj = topology.adjacency()
     rem = scenario.remaining
-    return adj[np.ix_(rem, rem)]
+    return topology.adjacency()[np.ix_(rem, rem)]
 
 
 def build_input_graph(topology: SwarmTopology, scenario: DamageScenario) -> InputGraph:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .damage import InputGraph
-from .swarm import count_subnets
+from .swarm import _csr_graph, count_subnets
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def build_graph_sequence(input_graph: InputGraph, branches: int) -> DamageGraphS
         bipartite_damage_graph(dilate_adjacency(input_graph.hops, k), n_r, n_d, k)
         for k in range(1, branches + 1)
     )
-    blocks = [sparse.csr_matrix(g.full_adjacency().astype(float)) for g in graphs]
+    blocks = [_csr_graph(g.full_adjacency()) for g in graphs]
     batch_adjacency = sparse.block_diag(blocks, format="csr")
     batch_features = np.tile(input_graph.features, (branches, 1))
     return DamageGraphSequence(

@@ -24,11 +24,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .damage import InputGraph, apply_damage, build_input_graph
+from .damage import DamageScenario, InputGraph, apply_damage, build_input_graph
 from .damage_graphs import DamageGraphSequence, build_graph_sequence, choose_branch_count
-from .swarm import (_pairwise_sq_distances, build_adjacency, component_labels, count_subnets,
-                    diameter_from_hops, generate_swarm, read_payload, write_csv,
-                    write_payload)
+from .swarm import (SwarmTopology, _pairwise_sq_distances, build_adjacency, component_labels,
+                    count_subnets, diameter_from_hops, generate_swarm, read_payload,
+                    write_csv, write_payload)
 
 MODEL_VERSION = 1
 # Elements per slice of the in-place Adam update: the slice of the weight,
@@ -138,6 +138,15 @@ def build_kernel(seq: DamageGraphSequence, step: float | None = None) -> sparse.
     return kernel.tocsr()
 
 
+def scenario_kernel(topology: SwarmTopology, scenario: DamageScenario, branch_cap: int
+                    ) -> tuple[InputGraph, DamageGraphSequence, sparse.csr_matrix]:
+    """Input graph, branch sequence and kernel of a scenario; K from the hop diameter."""
+    input_graph = build_input_graph(topology, scenario)
+    branches = choose_branch_count(diameter_from_hops(input_graph.hops), branch_cap)
+    seq = build_graph_sequence(input_graph, branches)
+    return input_graph, seq, build_kernel(seq)
+
+
 def kernel_flow(seq: DamageGraphSequence, branch: int, x: np.ndarray,
                 steps: int, step_size: float | None = None) -> np.ndarray:
     """Apply one branch's kernel ``steps`` times to x (no weights).
@@ -214,8 +223,6 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
     supplies them instead of recomputing them; the result is bit-identical.
     """
     mats = weights.matrices
-    if mats[0].shape != (seq.batch_features.shape[1], weights.hidden_dim):
-        raise ValueError("first weight matrix does not match the feature width")
     needs_rng = train and config.dropout > 0.0 and weights.blocks > 1
     if needs_rng and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
@@ -580,10 +587,7 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     )
     topology = generate_swarm(n, density_per_km2, comm_range, topo_seed)
     scenario = apply_damage(topology, n // 2, damage_seed, require_split=True)
-    input_graph = build_input_graph(topology, scenario)
-    branches = choose_branch_count(diameter_from_hops(input_graph.hops), config.branch_cap)
-    seq = build_graph_sequence(input_graph, branches)
-    kernel = build_kernel(seq)
+    input_graph, seq, kernel = scenario_kernel(topology, scenario, config.branch_cap)
 
     weights = ModelWeights.init_scaled_uniform(config.hidden_dim, config.blocks, init_seed)
     state = AdamState.zeros(weights)
@@ -621,7 +625,7 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
         "density_per_km2": density_per_km2,
         "d_tr_m": comm_range,
         "seed": seed,
-        "branches": branches,
+        "branches": seq.branches,
         "n_destroyed": scenario.n_destroyed,
         "iterations": config.pretrain_iters,
         "first_loss": curve[0].reported_loss,

@@ -15,11 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .damage import DamageScenario, build_input_graph
-from .damage_graphs import build_graph_sequence, choose_branch_count
-from .gcn import Hyperparams, ModelWeights, build_kernel, solve
-from .swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_from_hops,
-                    read_payload, write_payload)
+from .damage import DamageScenario
+from .gcn import Hyperparams, ModelWeights, scenario_kernel, solve
+from .swarm import SwarmTopology, build_adjacency, count_subnets, read_payload, write_payload
 
 PLAN_VERSION = 1
 
@@ -71,10 +69,7 @@ def plan_learned(topology: SwarmTopology, scenario: DamageScenario,
     result is always connected and never exceeds the worst-case bound.
     """
     config = config or Hyperparams()
-    input_graph = build_input_graph(topology, scenario)
-    branches = choose_branch_count(diameter_from_hops(input_graph.hops), config.branch_cap)
-    seq = build_graph_sequence(input_graph, branches)
-    kernel = build_kernel(seq)
+    input_graph, seq, kernel = scenario_kernel(topology, scenario, config.branch_cap)
     solution = solve(input_graph, seq, kernel, weights, topology.comm_range,
                      config, seed=seed)
 

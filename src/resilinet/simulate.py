@@ -25,9 +25,9 @@ from .damage import DamageError, apply_damage
 from .gcn import Hyperparams, ModelWeights
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, RecoveryPlan,
                       plan_recovery)
-from .swarm import (DegreeStats, GenerationError, build_adjacency, count_subnets,
-                    degree_cdf, degree_stats, generate_swarm, require_fields, write_csv,
-                    write_payload)
+from .swarm import (DegreeStats, GenerationError, build_adjacency, check_swarm_params,
+                    count_subnets, degree_cdf, degree_stats, generate_swarm, require_fields,
+                    write_csv, write_payload)
 
 RESULTS_VERSION = 1
 
@@ -68,7 +68,7 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     motion is overshoot-free and distance-to-target is non-increasing.  The
     series keeps going after first connection, to plan completion.
     """
-    if max_speed <= 0 or step_s <= 0:
+    if not (max_speed > 0 and step_s > 0):
         raise ValueError("max_speed and step_s must be positive")
     if not t_max >= 0:
         raise ValueError("t_max must be a non-negative number")
@@ -133,9 +133,10 @@ class ExperimentSpec:
     t_max: float | None = None
 
     def __post_init__(self):
+        check_swarm_params(self.n, self.density_per_km2, self.comm_range)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.step_s <= 0:
+        if not self.step_s > 0:
             raise ValueError("step_s must be positive")
         if self.seeds is not None and len(self.seeds) < self.trials:
             raise ValueError("seeds must cover every trial")

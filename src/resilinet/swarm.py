@@ -49,13 +49,16 @@ class SwarmTopology:
         if not (math.isfinite(self.side) and self.side > 0):
             raise ValueError("side (topology file field 'side_m') must be finite and positive")
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "_adjacency", build_adjacency(pos, self.comm_range))
+        self._adjacency.flags.writeable = False
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
     def adjacency(self) -> np.ndarray:
-        return build_adjacency(self.positions, self.comm_range)
+        """The disk-model graph of ``positions``, built once; the array is read-only."""
+        return self._adjacency
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ def build_adjacency(positions: np.ndarray, comm_range: float) -> np.ndarray:
     The comparison is on squared distances, so the boundary case
     ||p_i - p_j|| == comm_range counts as connected.
     """
-    if comm_range <= 0:
+    if not comm_range > 0:
         raise ValueError("comm_range must be positive")
     adj = _pairwise_sq_distances(positions) <= comm_range * comm_range
     np.fill_diagonal(adj, False)
@@ -91,6 +94,17 @@ def _pairwise_sq_distances(positions: np.ndarray) -> np.ndarray:
     return dist_sq
 
 
+def check_swarm_params(n: int, density_per_km2: float, comm_range: float) -> None:
+    """Raise ValueError naming the first swarm parameter outside its domain."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    # n / density must be finite too, or the side of the area overflows.
+    if not (0 < density_per_km2 < math.inf and math.isfinite(n / density_per_km2)):
+        raise ValueError("density_per_km2 must be finite and positive")
+    if not comm_range > 0:
+        raise ValueError("comm_range must be positive")
+
+
 def generate_swarm(n: int, density_per_km2: float, comm_range: float,
                    seed: int, max_attempts: int = 1000) -> SwarmTopology:
     """Sample a connected swarm of n nodes uniformly on a square area.
@@ -101,18 +115,13 @@ def generate_swarm(n: int, density_per_km2: float, comm_range: float,
     an infeasible (n, density, comm_range) combination rather than looping
     forever.  Deterministic for a fixed seed.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if density_per_km2 <= 0:
-        raise ValueError("density_per_km2 must be positive")
-    if comm_range <= 0:
-        raise ValueError("comm_range must be positive")
+    check_swarm_params(n, density_per_km2, comm_range)
     side = 1000.0 * math.sqrt(n / density_per_km2)
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
-        positions = rng.uniform(0.0, side, size=(n, 2))
-        if count_subnets(build_adjacency(positions, comm_range)) == 1:
-            return SwarmTopology(positions=positions, comm_range=comm_range, side=side)
+        topology = SwarmTopology(rng.uniform(0.0, side, size=(n, 2)), comm_range, side)
+        if count_subnets(topology.adjacency()) == 1:
+            return topology
     raise GenerationError(
         f"no connected swarm with n={n}, density={density_per_km2}/km^2, "
         f"comm_range={comm_range} m in {max_attempts} attempts"

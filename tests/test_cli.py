@@ -197,6 +197,27 @@ class TestMalformedInput:
                    "--out", str(tmp_path / "x.json")) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--density", "nan"], "density_per_km2 must be finite and positive"),
+        (["gen", "--density", "inf"], "density_per_km2 must be finite and positive"),
+        (["gen", "--comm-range", "nan"], "comm_range must be positive"),
+        (["experiment", "--density", "nan", "--nd", "5", "--trials", "1"],
+         "density_per_km2 must be finite and positive"),
+        (["experiment", "--comm-range", "nan", "--nd", "5", "--trials", "1"],
+         "comm_range must be positive"),
+        (["experiment", "--step", "nan", "--nd", "5", "--trials", "1"],
+         "step_s must be positive"),
+    ], ids=["gen-density-nan", "gen-density-inf", "gen-comm-range-nan",
+            "experiment-density-nan", "experiment-comm-range-nan", "experiment-step-nan"])
+    def test_non_finite_parameter_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        out = ["--out-dir" if argv[0] == "experiment" else "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        assert run(*argv, "--n", "12", *out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("positions", None, "topology file field 'positions' must be a JSON list"),
         ("d_tr_m", None, "topology file field 'd_tr_m' must be a JSON number"),
@@ -259,9 +280,10 @@ class TestMalformedInput:
                    "--blocks", "1", "--iters", "1", "--out", str(model)) == EXIT_OK
         results = tmp_path / "results.json"
         results.write_text(json.dumps({"summary": []}))
-        return {"topology": topo, "scenario": scenario, "model": model, "results": results}
+        return {"topology": topo, "scenario": scenario, "model": model, "results": results,
+                "config": tmp_path / "config.json"}
 
-    @pytest.mark.parametrize("kind", ["topology", "scenario", "model", "results"])
+    @pytest.mark.parametrize("kind", ["topology", "scenario", "model", "results", "config"])
     def test_corrupt_json_names_the_file(self, tmp_path, capsys, kind):
         files = self._inputs(tmp_path)
         files[kind].write_text("{bad")
@@ -277,6 +299,8 @@ class TestMalformedInput:
                       "--out", str(tmp_path / "plan.json")],
             "results": ["report", "--results", str(files["results"]),
                         "--out-dir", str(tmp_path / "report")],
+            "config": ["gen", "--config", str(files["config"]),
+                       "--out", str(tmp_path / "topo2.json")],
         }[kind]
         capsys.readouterr()
         assert run(*argv) == EXIT_CONFIG
@@ -326,12 +350,13 @@ class TestMalformedInput:
         ("topology", "side_m", 0, [], "topology file field 'side_m'"),
         ("topology", "d_tr_m", float("nan"), [], "topology file field 'd_tr_m'"),
         ("topology", None, None, ["--t-max", "nan"], "t_max must be a non-negative number"),
+        ("topology", None, None, ["--step", "nan"], "max_speed and step_s must be positive"),
         ("plan", "k_star", "x", [],
          "plan file field 'k_star' must be a JSON positive integer or null"),
         ("plan", "method", "", [], "plan file field 'method' must be one of 'ml-dagl', "
                                    "'centering', 'fallback-centroid'"),
-    ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "k-star-string",
-            "method-empty"])
+    ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "step-nan",
+            "k-star-string", "method-empty"])
     def test_simulate_rejects_a_bad_value(self, tmp_path, capsys, kind, field, value, argv,
                                           message):
         files = self._inputs(tmp_path)

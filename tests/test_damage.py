@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from resilinet.damage import (DamageError, DamageScenario, apply_damage,
                               build_input_graph, load_scenario,
@@ -7,6 +10,20 @@ from resilinet.damage import (DamageError, DamageScenario, apply_damage,
 from resilinet.swarm import SwarmTopology, count_subnets, generate_swarm
 
 from _oracles import induced_subgraph
+
+
+@st.composite
+def damage_cases(draw):
+    """A random damage scenario: 10-60 uniform nodes at 200/km^2, any destroyed subset.
+
+    The topology need not be connected, nor the survivors split.
+    """
+    n = draw(st.integers(10, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = 1000.0 * math.sqrt(n / 200.0)
+    topology = SwarmTopology(rng.uniform(0.0, side, size=(n, 2)), 120.0, side)
+    destroyed = rng.choice(n, size=draw(st.integers(1, n - 1)), replace=False)
+    return topology, DamageScenario(destroyed, np.setdiff1d(np.arange(n), destroyed))
 
 
 def line_topology(n, spacing=100.0, comm_range=120.0):

@@ -19,7 +19,9 @@ from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
 from resilinet.swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_hops,
                              generate_swarm)
 
-from _oracles import dense_forward_reference, functional_adam_step
+from _oracles import (boolean_power_reachability, dense_forward_reference,
+                      dense_hadamard_damage_graph, functional_adam_step)
+from test_damage import damage_cases
 
 TINY = Hyperparams(hidden_dim=8, blocks=1, dropout=0.0, online_iters=30,
                    pretrain_iters=5)
@@ -112,6 +114,38 @@ class TestKernel:
             degrees = np.asarray(seq.batch_adjacency.sum(axis=1)).ravel()
             assert 1.0 / seq.n <= 1.0 / degrees.max()
             build_kernel(seq)  # must not raise
+
+
+class TestKernelProperties:
+    """The kernel invariants on random damage scenarios and branch counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(damage_cases(), st.integers(1, 4))
+    def test_symmetric_stochastic_kernel_over_masked_dilations(self, case, branches):
+        graph_in = build_input_graph(*case)
+        seq = build_graph_sequence(graph_in, branches)
+        kernel = build_kernel(seq).toarray()
+        assert np.array_equal(kernel, kernel.T)
+        assert kernel.min() >= 0.0 and kernel.max() <= 1.0
+        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-12
+        n, nnz = seq.n, 0
+        for k in range(1, branches + 1):
+            expected = dense_hadamard_damage_graph(
+                boolean_power_reachability(graph_in.adjacency, k), graph_in.n_remaining)
+            block = seq.batch_adjacency[(k - 1) * n:k * n, (k - 1) * n:k * n]
+            assert np.array_equal(block.toarray(), expected)
+            nnz += np.count_nonzero(expected)
+        assert seq.batch_adjacency.nnz == nnz  # nothing outside the diagonal blocks
+
+    @settings(max_examples=40, deadline=None)
+    @given(damage_cases(), st.integers(1, 4), st.integers(1, 200))
+    def test_kernel_flow_keeps_column_sums(self, case, branches, steps):
+        graph_in = build_input_graph(*case)
+        seq = build_graph_sequence(graph_in, branches)
+        x = graph_in.features
+        for branch in range(1, branches + 1):
+            out = kernel_flow(seq, branch, x, steps=steps)
+            assert np.abs(out.sum(axis=0) - x.sum(axis=0)).max() <= 1e-9
 
 
 class TestGcoApply:

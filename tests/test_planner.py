@@ -10,6 +10,7 @@ from resilinet.gcn import Hyperparams, ModelWeights, pretrain
 from resilinet.planner import (METHOD_CENTERING, METHOD_FALLBACK, METHOD_LEARNED,
                                RecoveryPlan, load_plan, plan_centering,
                                plan_learned, save_plan, verify_plan)
+from resilinet.simulate import ExperimentSpec, run_experiment
 from resilinet.swarm import SwarmTopology, count_subnets, generate_swarm
 
 from _oracles import eigencount_components
@@ -147,6 +148,40 @@ class TestOneHopPass:
         pretrain(16, 200.0, 120.0, seed=3, config=TINY)
         assert len(hops) == 1
         assert diameters == []
+
+
+class TestOneAdjacencyBuild:
+    """A topology builds its disk graph once; damage, input graph and kernel read it."""
+
+    @staticmethod
+    def builds_on(monkeypatch, positions):
+        calls = count_calls(monkeypatch, swarm.build_adjacency)
+        return lambda: sum(np.array_equal(args[0], positions) for args in calls)
+
+    def test_pretrain(self, monkeypatch):
+        topo_seed = int(np.random.SeedSequence(3).generate_state(4)[0])
+        topo = generate_swarm(16, 200.0, 120.0, topo_seed)
+        builds = self.builds_on(monkeypatch, topo.positions)
+        pretrain(16, 200.0, 120.0, seed=3, config=TINY)
+        assert builds() == 1
+
+    @pytest.mark.parametrize("method", [METHOD_CENTERING, METHOD_LEARNED])
+    def test_trial(self, monkeypatch, method):
+        spec = ExperimentSpec(n=16, damage_sizes=(7,), trials=1, seeds=(5,), methods=(method,))
+        topo_seed = int(np.random.SeedSequence(5).generate_state(3)[0])
+        topo = generate_swarm(16, spec.density_per_km2, spec.comm_range, topo_seed)
+        builds = self.builds_on(monkeypatch, topo.positions)
+        results = run_experiment(spec, ModelWeights.init_scaled_uniform(8, 1, seed=1), TINY)
+        assert not results.trials[0].skipped
+        assert builds() == 1
+
+    def test_plan_learned_on_a_given_topology(self, monkeypatch):
+        topo = generate_swarm(16, 200.0, 120.0, seed=26)
+        scenario = apply_damage(topo, 7, seed=76)
+        weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
+        builds = self.builds_on(monkeypatch, topo.positions)
+        plan_learned(topo, scenario, weights, TINY, seed=0)
+        assert builds() == 0
 
 
 class TestPlanFile:

@@ -1,11 +1,13 @@
-"""Every name the demos and the README quick-start import from the package exists."""
+"""Every name the demos and the README import exists, and every README CLI line parses."""
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import resilinet
+from resilinet.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +40,21 @@ def test_package_imports_resolve(name):
     assert imported, f"{name} imports nothing from resilinet"
     missing = [n for n in imported if not hasattr(resilinet, n)]
     assert not missing, f"{name} imports names resilinet does not export: {missing}"
+
+
+def readme_cli_lines() -> list[str]:
+    """``resilinet ...`` lines of the README's sh blocks, continuation lines joined."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("resilinet ")]
+
+
+def test_readme_cli_lines_were_found():
+    assert len(readme_cli_lines()) >= 7
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert callable(args.func)

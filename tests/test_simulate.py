@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resilinet.damage import apply_damage
 from resilinet.gcn import Hyperparams, pretrain
@@ -14,10 +16,46 @@ from resilinet.simulate import (ExperimentSpec, SUMMARY_COLUMNS, TRIAL_COLUMNS,
                                 simulate_recovery)
 from resilinet.swarm import build_adjacency, generate_swarm
 
+from test_damage import damage_cases
+
 
 def still_plan(start):
     return RecoveryPlan(targets=np.asarray(start, dtype=float).copy(),
                         planned_time=0.0, method=METHOD_CENTERING)
+
+
+def assert_monotone_flight_within_plan(start, plan, comm_range, max_speed=10.0, step_s=0.1):
+    """No node ever moves away from its target, and the swarm connects by plan + one step."""
+    sim = simulate_recovery(start, plan, max_speed, step_s, comm_range, t_max=1e9,
+                            keep_history=True)
+    dist = np.linalg.norm(sim.history - plan.targets[None], axis=2)
+    assert np.all(np.diff(dist, axis=0) <= 0.0)
+    assert sim.first_connected_s is not None
+    assert sim.first_connected_s <= plan.planned_time + step_s + 1e-9
+
+
+class TestSimulatorProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(damage_cases())
+    def test_centering_plans(self, case):
+        topology, scenario = case
+        plan = plan_centering(topology, scenario, max_speed=10.0)
+        assert_monotone_flight_within_plan(topology.positions[scenario.remaining], plan,
+                                           topology.comm_range)
+
+    @settings(max_examples=30, deadline=None)
+    @given(damage_cases(), st.floats(0.0, 0.6), st.floats(0.0, 30.0), st.integers(0, 2**32 - 1))
+    def test_perturbed_connected_plans(self, case, shrink, jitter, seed):
+        """Targets pulled toward the survivors' centroid, jittered, and kept if connected."""
+        topology, scenario = case
+        start = topology.positions[scenario.remaining]
+        center = start.mean(axis=0)
+        noise = np.random.default_rng(seed).normal(scale=jitter, size=start.shape)
+        targets = center + shrink * (start - center) + noise
+        planned = float(np.linalg.norm(targets - start, axis=1).max()) / 10.0
+        plan = RecoveryPlan(targets=targets, planned_time=planned, method=METHOD_CENTERING)
+        assume(verify_plan(plan, topology.comm_range))
+        assert_monotone_flight_within_plan(start, plan, topology.comm_range)
 
 
 class TestSimulateRecovery:
