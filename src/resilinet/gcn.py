@@ -17,6 +17,7 @@ optimizer is a plain Adam that updates the weights in place.
 from __future__ import annotations
 
 import base64
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -66,8 +67,8 @@ class Hyperparams:
             raise ValueError("dropout must be in [0, 1)")
         if self.online_iters < 1 or self.pretrain_iters < 1:
             raise ValueError("iteration counts must be at least 1")
-        if not self.max_speed > 0:
-            raise ValueError("max_speed must be positive")
+        if not 0 < self.max_speed < math.inf:
+            raise ValueError("max_speed must be positive and finite")
 
     def resolve_gap_penalty(self, comm_range: float) -> float:
         """One full penalty unit per communication range of residual component gap."""

@@ -20,16 +20,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .damage import DamageError, apply_damage
 from .gcn import Hyperparams, ModelWeights
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, RecoveryPlan,
                       plan_recovery)
-from .swarm import (DegreeStats, GenerationError, build_adjacency, check_swarm_params,
-                    count_subnets, degree_cdf, degree_stats, generate_swarm, require_fields,
-                    write_csv, write_payload)
+from .swarm import (DegreeStats, GenerationError, _csr_graph, _pairs_in_range,
+                    build_adjacency, check_swarm_params, component_labels, degree_cdf,
+                    degree_stats, generate_swarm, require_fields, write_csv, write_payload)
 
 RESULTS_VERSION = 1
+# The most steps a flight may take; real flights take hundreds to a few
+# thousand (about 700 at n = 200 and 1 550 at n = 1000 at the defaults).
+MAX_STEPS = 10**6
 
 TRIAL_COLUMNS = [
     "method", "n", "n_d", "seed", "converged", "measured_T_rc_s",
@@ -66,10 +70,25 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
 
     Per step each node moves min(max_speed * step_s, remaining distance), so
     motion is overshoot-free and distance-to-target is non-increasing.  The
-    series keeps going after first connection, to plan completion.
+    series keeps going after first connection, to plan completion.  A plan
+    that needs more than ``MAX_STEPS`` steps is refused before the flight.
+
+    Each step's sub-net count is the one a fresh labeling of the disk graph
+    would give, but most steps are decided by a certificate kept from the
+    last full labeling (the kinetic data structures of Basch, Guibas and
+    Hershberger): the count, the labels and a spanning forest of that graph.
+    If every forest pair is still in range, every old component is still
+    connected, so the new components are unions of old ones, joined only
+    by links between different old labels.  Hence, with the forest intact,
+    a count of 1 stays 1 with no graph built, and a larger count stays
+    unchanged when no link joins two labels.  A broken forest pair or a
+    link between labels makes the step a full labeling.  The pair test is
+    ``build_adjacency``'s own, bit for bit, so the counts are exact.
     """
-    if not (max_speed > 0 and step_s > 0):
-        raise ValueError("max_speed and step_s must be positive")
+    if not 0 < max_speed < math.inf:
+        raise ValueError("max_speed must be positive and finite")
+    if not 0 < step_s < math.inf:
+        raise ValueError("step_s must be positive and finite")
     if not t_max >= 0:
         raise ValueError("t_max must be a non-negative number")
     positions = np.asarray(start, dtype=float).copy()
@@ -77,15 +96,19 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     if positions.shape != targets.shape:
         raise ValueError("start and plan target shapes differ")
 
-    max_dist = float(np.linalg.norm(targets - positions, axis=1).max())
-    total_steps = int(math.ceil(max_dist / (max_speed * step_s) - 1e-12))
-
-    adjacency = build_adjacency(positions, comm_range)
-    series = [count_subnets(adjacency)]
-    history = [positions.copy()] if keep_history else None
-    first: float | None = 0.0 if series[0] == 1 else None
-
     reach = max_speed * step_s
+    max_dist = float(np.linalg.norm(targets - positions, axis=1).max())
+    # A product, not a quotient: a tiny reach would overflow the step count.
+    if max_dist > MAX_STEPS * reach:
+        raise ValueError(f"step_s={step_s!r} is too small: the plan needs more than "
+                         f"{MAX_STEPS} steps at max_speed={max_speed!r}")
+    total_steps = int(math.ceil(max_dist / reach - 1e-12)) if max_dist > 0 else 0
+
+    count, labels, forest = _labeling(build_adjacency(positions, comm_range))
+    series = [count]
+    history = [positions.copy()] if keep_history else None
+    first: float | None = 0.0 if count == 1 else None
+
     for step in range(1, total_steps + 1):
         delta = targets - positions
         dist = np.linalg.norm(delta, axis=1)
@@ -93,22 +116,35 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
         moving = ~arrive & (dist > 0)
         positions[arrive] = targets[arrive]
         positions[moving] += delta[moving] * (reach / dist[moving])[:, None]
-        adjacency = build_adjacency(positions, comm_range)
-        ns = count_subnets(adjacency)
-        series.append(ns)
+        intact = _pairs_in_range(positions, *forest, comm_range).all()
+        if not intact or count > 1:
+            adjacency = build_adjacency(positions, comm_range)
+            if not intact or (adjacency & (labels[:, None] != labels[None, :])).any():
+                count, labels, forest = _labeling(adjacency)
+        series.append(count)
         if keep_history:
             history.append(positions.copy())
-        if first is None and ns == 1:
+        if first is None and count == 1:
             first = step * step_s
 
     return SimResult(
         subnet_series=np.asarray(series, dtype=int),
         first_connected_s=first,
         converged=first is not None and first <= t_max + 1e-9,
-        degree=degree_stats(adjacency),
+        degree=degree_stats(build_adjacency(positions, comm_range)),
         final_positions=positions,
         history=np.asarray(history) if keep_history else None,
     )
+
+
+def _labeling(adjacency: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Component count, labels and a spanning forest (as node pair arrays) of a graph.
+
+    The forest is taken over unit weights: csgraph drops explicit zeros, so
+    squared-distance weights would lose the links between coincident nodes.
+    """
+    count, labels = component_labels(adjacency)
+    return count, labels, minimum_spanning_tree(_csr_graph(adjacency)).nonzero()
 
 
 @dataclass(frozen=True)
@@ -136,8 +172,10 @@ class ExperimentSpec:
         check_swarm_params(self.n, self.density_per_km2, self.comm_range)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.step_s > 0:
-            raise ValueError("step_s must be positive")
+        if not 0 < self.max_speed < math.inf:
+            raise ValueError("max_speed must be positive and finite")
+        if not 0 < self.step_s < math.inf:
+            raise ValueError("step_s must be positive and finite")
         if self.seeds is not None and len(self.seeds) < self.trials:
             raise ValueError("seeds must cover every trial")
         if self.t_max is not None and not self.t_max >= 0:

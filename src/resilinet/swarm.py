@@ -94,6 +94,23 @@ def _pairwise_sq_distances(positions: np.ndarray) -> np.ndarray:
     return dist_sq
 
 
+def _pairs_in_range(positions: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    comm_range: float) -> np.ndarray:
+    """Link test of the pairs (rows[k], cols[k]), bit for bit ``build_adjacency``'s.
+
+    The squared distance is the same elementwise dx*dx + dy*dy as
+    ``_pairwise_sq_distances`` computes, so a pair is linked here exactly
+    when its adjacency entry is set.
+    """
+    pos = np.asarray(positions, dtype=float)
+    dist_sq = pos[rows, 0] - pos[cols, 0]
+    np.multiply(dist_sq, dist_sq, out=dist_sq)
+    dy = pos[rows, 1] - pos[cols, 1]
+    np.multiply(dy, dy, out=dy)
+    dist_sq += dy
+    return dist_sq <= comm_range * comm_range
+
+
 def check_swarm_params(n: int, density_per_km2: float, comm_range: float) -> None:
     """Raise ValueError naming the first swarm parameter outside its domain."""
     if n < 2:

@@ -1,16 +1,53 @@
 """Independent reference implementations used only as test oracles.
 
 Everything here is deliberately written from first principles (dense numpy,
-explicit loops) or in an older, plainer form of a package routine, and
-shares no code path with the package under test.
+explicit loops) or in an older, plainer form of a package routine.  An
+older form may call the package's lower-level routines that it was built
+on (``dense_subnet_series`` labels each step with ``count_subnets``); it
+then checks the routine that replaced it, not those.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+
+from resilinet.swarm import build_adjacency, count_subnets, degree_stats
+
+
+def dense_subnet_series(start, targets, max_speed, step_s, comm_range):
+    """Flight with a fresh dense labeling of every step.
+
+    The package's former ``simulate_recovery`` loop, kept verbatim: returns
+    (sub-net series, first connected time, final positions, final degrees).
+    """
+    positions = np.asarray(start, dtype=float).copy()
+    targets = np.asarray(targets, dtype=float)
+    max_dist = float(np.linalg.norm(targets - positions, axis=1).max())
+    total_steps = int(math.ceil(max_dist / (max_speed * step_s) - 1e-12))
+
+    adjacency = build_adjacency(positions, comm_range)
+    series = [count_subnets(adjacency)]
+    first = 0.0 if series[0] == 1 else None
+
+    reach = max_speed * step_s
+    for step in range(1, total_steps + 1):
+        delta = targets - positions
+        dist = np.linalg.norm(delta, axis=1)
+        arrive = dist <= reach
+        moving = ~arrive & (dist > 0)
+        positions[arrive] = targets[arrive]
+        positions[moving] += delta[moving] * (reach / dist[moving])[:, None]
+        adjacency = build_adjacency(positions, comm_range)
+        ns = count_subnets(adjacency)
+        series.append(ns)
+        if first is None and ns == 1:
+            first = step * step_s
+    return (np.asarray(series, dtype=int), first, positions,
+            degree_stats(adjacency).degrees)
 
 
 def einsum_sq_distances(positions: np.ndarray) -> np.ndarray:

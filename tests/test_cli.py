@@ -136,6 +136,16 @@ class TestExperiment:
         assert len(rows) == 1
         assert float(rows[0]["R_c"]) == 1.0
 
+    def test_step_that_needs_too_many_steps_is_a_usage_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("experiment", "--n", "20", "--nd", "9", "--trials", "1",
+                   "--seed", "5", "--step", "1e-9",
+                   "--out-dir", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "step_s=1e-09 is too small: the plan needs more than 1000000 steps" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_experiment_needs_model_for_learned(self, tmp_path):
         assert run("experiment", "--n", "20", "--nd", "9", "--trials", "1",
                    "--methods", "ml-dagl",
@@ -207,8 +217,13 @@ class TestMalformedInput:
          "comm_range must be positive"),
         (["experiment", "--step", "nan", "--nd", "5", "--trials", "1"],
          "step_s must be positive"),
+        (["experiment", "--step", "inf", "--nd", "5", "--trials", "1"],
+         "step_s must be positive and finite"),
+        (["experiment", "--max-speed", "inf", "--nd", "5", "--trials", "1"],
+         "max_speed must be positive and finite"),
     ], ids=["gen-density-nan", "gen-density-inf", "gen-comm-range-nan",
-            "experiment-density-nan", "experiment-comm-range-nan", "experiment-step-nan"])
+            "experiment-density-nan", "experiment-comm-range-nan", "experiment-step-nan",
+            "experiment-step-inf", "experiment-max-speed-inf"])
     def test_non_finite_parameter_is_a_usage_error(self, tmp_path, capsys, argv, message):
         out = ["--out-dir" if argv[0] == "experiment" else "--out", str(tmp_path / "x")]
         capsys.readouterr()
@@ -350,13 +365,18 @@ class TestMalformedInput:
         ("topology", "side_m", 0, [], "topology file field 'side_m'"),
         ("topology", "d_tr_m", float("nan"), [], "topology file field 'd_tr_m'"),
         ("topology", None, None, ["--t-max", "nan"], "t_max must be a non-negative number"),
-        ("topology", None, None, ["--step", "nan"], "max_speed and step_s must be positive"),
+        ("topology", None, None, ["--step", "nan"], "step_s must be positive and finite"),
+        ("topology", None, None, ["--step", "inf"], "step_s must be positive and finite"),
+        ("topology", None, None, ["--max-speed", "inf"],
+         "max_speed must be positive and finite"),
+        ("topology", None, None, ["--step", "1e-9"],
+         "step_s=1e-09 is too small: the plan needs more than 1000000 steps"),
         ("plan", "k_star", "x", [],
          "plan file field 'k_star' must be a JSON positive integer or null"),
         ("plan", "method", "", [], "plan file field 'method' must be one of 'ml-dagl', "
                                    "'centering', 'fallback-centroid'"),
-    ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "step-nan",
-            "k-star-string", "method-empty"])
+    ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "step-nan", "step-inf",
+            "max-speed-inf", "step-too-small", "k-star-string", "method-empty"])
     def test_simulate_rejects_a_bad_value(self, tmp_path, capsys, kind, field, value, argv,
                                           message):
         files = self._inputs(tmp_path)
@@ -376,6 +396,17 @@ class TestMalformedInput:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "sim.json").exists()
+
+    def test_plan_rejects_an_infinite_speed(self, tmp_path, capsys):
+        files = self._inputs(tmp_path)
+        capsys.readouterr()
+        assert run("plan", "--method", "centering", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--max-speed", "inf",
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "max_speed must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan.json").exists()
 
     def test_learned_plan_on_a_disconnected_topology(self, tmp_path, capsys):
         files = self._inputs(tmp_path)

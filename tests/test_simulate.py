@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from resilinet import swarm
 from resilinet.damage import apply_damage
 from resilinet.gcn import Hyperparams, pretrain
 from resilinet.planner import (METHOD_CENTERING, RecoveryPlan, plan_centering,
@@ -16,7 +18,9 @@ from resilinet.simulate import (ExperimentSpec, SUMMARY_COLUMNS, TRIAL_COLUMNS,
                                 simulate_recovery)
 from resilinet.swarm import build_adjacency, generate_swarm
 
+from _oracles import dense_subnet_series
 from test_damage import damage_cases
+from test_planner import count_calls
 
 
 def still_plan(start):
@@ -34,7 +38,75 @@ def assert_monotone_flight_within_plan(start, plan, comm_range, max_speed=10.0, 
     assert sim.first_connected_s <= plan.planned_time + step_s + 1e-9
 
 
+def plan_to(targets):
+    return RecoveryPlan(targets=np.asarray(targets, dtype=float), planned_time=0.0,
+                        method=METHOD_CENTERING)
+
+
+def assert_matches_dense_labeling(start, targets, comm_range, max_speed=10.0, step_s=0.1):
+    """The flight's series, first time, final positions and degrees equal the dense oracle's."""
+    sim = simulate_recovery(start, plan_to(targets), max_speed, step_s, comm_range,
+                            t_max=1e9)
+    series, first, final, degrees = dense_subnet_series(start, targets, max_speed, step_s,
+                                                        comm_range)
+    assert sim.subnet_series.tobytes() == series.tobytes()
+    assert repr(sim.first_connected_s) == repr(first)
+    assert sim.final_positions.tobytes() == final.tobytes()
+    assert sim.degree.degrees.tobytes() == degrees.tobytes()
+    return sim
+
+
+@st.composite
+def flights(draw):
+    """(start, targets, comm_range, max_speed, step_s) of one of six kinds of flight.
+
+    centering, perturbed: survivors of a random damage flying to the centroid
+    plan or a jittered shrink of it.  shuffled: the same targets dealt to the
+    wrong nodes, so paths cross and forest links break.  permuted: a sparse
+    connected swarm whose nodes swap places, so it splits on the way and
+    joins again.  grid: integer points and range 5, so pairs sit exactly
+    at the range.  duplicate: nodes that start at one point, or are sent to one.
+    """
+    kind = draw(st.sampled_from(
+        ["centering", "perturbed", "shuffled", "permuted", "grid", "duplicate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        m = draw(st.integers(2, 25))
+        start = rng.integers(0, 13, size=(m, 2)).astype(float)
+        return start, rng.integers(0, 13, size=(m, 2)).astype(float), 5.0, 1.0, 1.0
+    if kind == "permuted":
+        # A sparse random tree of links, each node 60-119 m from an earlier one.
+        m = draw(st.integers(3, 25))
+        angle = rng.uniform(0.0, 2 * math.pi, m)
+        hop = rng.uniform(60.0, 119.0, m)[:, None] * np.column_stack([np.cos(angle),
+                                                                       np.sin(angle)])
+        start = np.zeros((m, 2))
+        for i in range(1, m):
+            start[i] = start[rng.integers(i)] + hop[i]
+        return start, start[rng.permutation(m)], 120.0, 10.0, 0.5
+    topology, scenario = draw(damage_cases())
+    start = topology.positions[scenario.remaining]
+    targets = plan_centering(topology, scenario, max_speed=10.0).targets
+    if kind == "perturbed":
+        center = start.mean(axis=0)
+        targets = (center + draw(st.floats(0.0, 0.6)) * (start - center)
+                   + rng.normal(scale=draw(st.floats(0.0, 30.0)), size=start.shape))
+    elif kind == "shuffled":
+        targets = targets[rng.permutation(len(targets))]
+    elif kind == "duplicate":
+        # Nodes that share a start point part; nodes that share a target meet.
+        start = start[rng.integers(0, len(start), size=len(start))]
+        points = min(draw(st.integers(1, 3)), len(targets))
+        targets = targets[rng.integers(0, points, size=len(targets))]
+    return start, targets, topology.comm_range, 10.0, 0.5
+
+
 class TestSimulatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(flights())
+    def test_counts_equal_a_dense_labeling_of_every_step(self, flight):
+        assert_matches_dense_labeling(*flight)
+
     @settings(max_examples=30, deadline=None)
     @given(damage_cases())
     def test_centering_plans(self, case):
@@ -119,6 +191,32 @@ class TestSimulateRecovery:
         with pytest.raises(ValueError):
             simulate_recovery(start, still_plan(start), 0.0, 0.1, 120.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["max_speed", "step_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_a_non_finite_speed_or_step(self, field, value):
+        start = np.array([[0.0, 0.0], [10.0, 0.0]])
+        kinematics = {"max_speed": 10.0, "step_s": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            simulate_recovery(start, still_plan(start), kinematics["max_speed"],
+                              kinematics["step_s"], 120.0, 1.0)
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ExperimentSpec(n=20, **{field: value})
+        if field == "max_speed":
+            with pytest.raises(ValueError, match="max_speed must be positive and finite"):
+                Hyperparams(max_speed=value)
+
+    # The last pair's reach, max_speed * step_s, underflows to 0.
+    @pytest.mark.parametrize("max_speed, step_s", [(10.0, 1e-9), (10.0, 1e-300),
+                                                   (1e-10, 1e-320)])
+    def test_rejects_a_step_that_needs_too_many_steps(self, max_speed, step_s):
+        start = np.array([[0.0, 0.0], [10.0, 0.0]])
+        plan = plan_to([[0.0, 0.0], [20.0, 0.0]])
+        with pytest.raises(ValueError, match=f"step_s={step_s!r} is too small"):
+            simulate_recovery(start, plan, max_speed, step_s, 120.0, 1.0)
+        # A still plan needs no step at all, however small the step.
+        assert simulate_recovery(start, still_plan(start), max_speed, step_s, 120.0,
+                                 1.0).subnet_series.tolist() == [1]
+
     @pytest.mark.parametrize("t_max", [float("nan"), -1.0])
     def test_rejects_bad_budget(self, t_max):
         start = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -126,6 +224,53 @@ class TestSimulateRecovery:
             simulate_recovery(start, still_plan(start), 10.0, 0.1, 120.0, t_max)
         with pytest.raises(ValueError, match="t_max"):
             ExperimentSpec(n=20, t_max=t_max)
+
+
+class TestLabelingCertificate:
+    """A step is labeled afresh only when a forest link breaks or two components link."""
+
+    def labelings(self, monkeypatch, start, targets):
+        start = np.asarray(start, dtype=float)
+        calls = count_calls(monkeypatch, swarm.component_labels)
+        simulate_recovery(start, plan_to(targets), 10.0, 1.0, 120.0, t_max=1e9)
+        labelings = len(calls)
+        sim = assert_matches_dense_labeling(start, targets, 120.0, max_speed=10.0, step_s=1.0)
+        return sim.subnet_series, labelings
+
+    def test_a_forest_link_breaks(self, monkeypatch):
+        # 10 m steps: the one link of the pair is exactly 120 m long after 2
+        # steps, still in range, and breaks at the third.
+        series, labelings = self.labelings(monkeypatch, [[0.0, 0.0], [100.0, 0.0]],
+                                           [[0.0, 0.0], [150.0, 0.0]])
+        assert series.tolist() == [1, 1, 1, 2, 2, 2]
+        assert labelings == 2
+
+    def test_two_components_merge_with_every_forest_link_kept(self, monkeypatch):
+        # Two rigid pairs close in; the gap reaches 120 m after 13 steps.
+        series, labelings = self.labelings(
+            monkeypatch, [[0.0, 0.0], [50.0, 0.0], [300.0, 0.0], [350.0, 0.0]],
+            [[0.0, 0.0], [50.0, 0.0], [150.0, 0.0], [200.0, 0.0]])
+        assert series.tolist() == [2] * 13 + [1] * 3
+        assert labelings == 2
+
+    def test_coincident_nodes_keep_their_link(self, monkeypatch):
+        # Two nodes at one point are linked at distance 0; a forest weighted
+        # by distance would drop that link and miss their parting.
+        series, labelings = self.labelings(monkeypatch, [[0.0, 0.0], [0.0, 0.0]],
+                                           [[0.0, 0.0], [150.0, 0.0]])
+        assert series.tolist() == [1] * 13 + [2] * 3
+        assert labelings == 2
+
+    def test_few_full_labelings_in_a_centering_trial(self, monkeypatch):
+        topology = generate_swarm(200, 200.0, 120.0, seed=1)
+        scenario = apply_damage(topology, 100, seed=2)
+        plan = plan_centering(topology, scenario)
+        calls = count_calls(monkeypatch, swarm.component_labels)
+        sim = simulate_recovery(topology.positions[scenario.remaining], plan, 10.0, 0.1,
+                                topology.comm_range, t_max=1e9)
+        steps = len(sim.subnet_series) - 1
+        assert steps > 100
+        assert len(calls) < steps / 10
 
 
 class TestTrialSeeds:
