@@ -26,14 +26,6 @@ class BipartiteDamageGraph:
     biadjacency: np.ndarray
 
     @property
-    def n_remaining(self) -> int:
-        return self.biadjacency.shape[0]
-
-    @property
-    def n_destroyed(self) -> int:
-        return self.biadjacency.shape[1]
-
-    @property
     def nnz(self) -> int:
         """Nonzeros of the full symmetric adjacency (twice the biadjacency's)."""
         return 2 * int(self.biadjacency.sum())

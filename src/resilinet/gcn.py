@@ -637,23 +637,16 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """The best connected candidate per branch plus the selected branch.
+    """The best connected candidate of every branch; the planner chooses among them.
 
-    ``branch_targets[k]`` is the full (n, 2) target matrix of branch k + 1's
-    best connected candidate and ``flight_times[k]`` its flight time; a branch
-    that never produced one has None and ``inf``.  ``k_star`` is 1-based and
-    only ever points at such a candidate; it is None when no branch has one,
-    and the caller falls back.
+    ``branch_targets[k]`` holds the survivors' (n_remaining, 2) targets of
+    branch k + 1's best connected candidate and ``flight_times[k]`` its flight
+    time; a branch that never produced one has None and ``inf``.
     """
 
     branch_targets: tuple[np.ndarray | None, ...]
     flight_times: np.ndarray
-    k_star: int | None
     iterations: int
-
-    @property
-    def feasible(self) -> bool:
-        return self.k_star is not None
 
 
 def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
@@ -667,7 +660,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     retained.  That eval trace is the next train forward's ``prefix``.
     Stops early once a feasible best exists and the reported loss has been
     stable (relative change < 1e-3) for 10 consecutive iterations.  An
-    entirely infeasible run is a value, not an error.
+    entirely infeasible run is a value, not an error: every time is ``inf``.
+    The search chooses no branch; ``planner.plan_learned`` does.
     """
     config = config or Hyperparams()
     n, n_r = seq.n, seq.n_remaining
@@ -675,10 +669,9 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     branches = seq.branches
 
     if count_subnets(input_graph.adjacency[:n_r, :n_r]) == 1:
-        identity = tuple(input_graph.features.copy() for _ in range(branches))
-        return SolutionSet(
-            branch_targets=identity, flight_times=np.zeros(branches), k_star=1, iterations=0,
-        )
+        identity = tuple(start_remaining.copy() for _ in range(branches))
+        return SolutionSet(branch_targets=identity, flight_times=np.zeros(branches),
+                           iterations=0)
 
     weights = replace(weights, matrices=tuple(m.copy() for m in weights.matrices))
     state = AdamState.zeros(weights)
@@ -703,7 +696,7 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
         for k in range(branches):
             if metrics.subnet_counts[k] == 1 and metrics.flight_times[k] < best_times[k]:
                 best_times[k] = metrics.flight_times[k]
-                best_targets[k] = output[k * n: (k + 1) * n].copy()
+                best_targets[k] = output[k * n: k * n + n_r].copy()
 
         if prev_loss is not None and abs(head.reported - prev_loss) <= 1e-3 * max(
             abs(prev_loss), 1e-12
@@ -715,10 +708,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
         if stable >= 10 and np.isfinite(best_times).any():
             break
 
-    # Unconnected branches are inf, so argmin never picks one.
-    k_star = int(np.argmin(best_times)) + 1 if np.isfinite(best_times).any() else None
     return SolutionSet(branch_targets=tuple(best_targets), flight_times=best_times,
-                       k_star=k_star, iterations=iterations)
+                       iterations=iterations)
 
 
 def save_model(path: str | Path, weights: ModelWeights, init_seed: int,

@@ -10,7 +10,8 @@ downstream simulation always recovers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,21 +40,14 @@ class RecoveryPlan:
     iterations: int = 0
 
 
-def centroid_targets(topology: SwarmTopology, scenario: DamageScenario,
-                     max_speed: float) -> tuple[np.ndarray, float]:
-    """All survivors target the centroid of the full original swarm."""
-    center = topology.positions.mean(axis=0)
-    start = topology.positions[scenario.remaining]
-    targets = np.tile(center, (scenario.n_remaining, 1))
-    planned = float(np.linalg.norm(start - center, axis=1).max()) / max_speed
-    return targets, planned
-
-
 def plan_centering(topology: SwarmTopology, scenario: DamageScenario,
                    max_speed: float = 10.0) -> RecoveryPlan:
-    """Centering baseline; its planned time equals the worst-case bound."""
-    targets, planned = centroid_targets(topology, scenario, max_speed)
-    return RecoveryPlan(targets=targets, planned_time=planned, method=METHOD_CENTERING)
+    """Every survivor targets the full swarm's centroid; the time is the worst-case bound."""
+    center = topology.positions.mean(axis=0)
+    start = topology.positions[scenario.remaining]
+    planned = float(np.linalg.norm(start - center, axis=1).max()) / max_speed
+    return RecoveryPlan(targets=np.tile(center, (scenario.n_remaining, 1)),
+                        planned_time=planned, method=METHOD_CENTERING)
 
 
 def plan_learned(topology: SwarmTopology, scenario: DamageScenario,
@@ -62,33 +56,25 @@ def plan_learned(topology: SwarmTopology, scenario: DamageScenario,
     """Plan with the graph-convolution solver, falling back to the centroid.
 
     Builds the damage-graph sequence with the branch count derived from the
-    pre-damage hop diameter, runs the online solver from the given pretrained
-    weights (never mutated), and keeps the selected branch's remaining-row
-    targets.  Whenever the solver finds nothing feasible, or nothing better
-    than the centroid plan, the centroid fallback is returned instead, so the
-    result is always connected and never exceeds the worst-case bound.
+    pre-damage hop diameter and runs the online solver from the given
+    pretrained weights (never mutated).  The one choice of the plan is made
+    here: the fastest branch (the lowest on a tie) wins if its flight time is
+    at most the centroid plan's; otherwise, and whenever no branch ever
+    connected (every time is ``inf``), the centroid plan is the fallback.  So
+    the result is always connected and never exceeds the worst-case bound.
     """
     config = config or Hyperparams()
     input_graph, seq, kernel = scenario_kernel(topology, scenario, config.branch_cap)
     solution = solve(input_graph, seq, kernel, weights, topology.comm_range,
                      config, seed=seed)
-
-    fallback_targets, fallback_time = centroid_targets(
-        topology, scenario, config.max_speed
-    )
-    if solution.feasible:
-        k = solution.k_star - 1
-        planned = float(solution.flight_times[k])
-        if planned <= fallback_time:
-            targets = solution.branch_targets[k][: scenario.n_remaining].copy()
-            return RecoveryPlan(
-                targets=targets, planned_time=planned, method=METHOD_LEARNED,
-                k_star=solution.k_star, iterations=solution.iterations,
-            )
-    return RecoveryPlan(
-        targets=fallback_targets, planned_time=fallback_time,
-        method=METHOD_FALLBACK, iterations=solution.iterations,
-    )
+    centroid = plan_centering(topology, scenario, config.max_speed)
+    k = int(np.argmin(solution.flight_times))
+    if solution.flight_times[k] <= centroid.planned_time:
+        return RecoveryPlan(
+            targets=solution.branch_targets[k], planned_time=float(solution.flight_times[k]),
+            method=METHOD_LEARNED, k_star=k + 1, iterations=solution.iterations,
+        )
+    return replace(centroid, method=METHOD_FALLBACK, iterations=solution.iterations)
 
 
 def plan_recovery(method: str, topology: SwarmTopology, scenario: DamageScenario,
@@ -130,9 +116,12 @@ def load_plan(path: str | Path) -> RecoveryPlan:
     targets = np.asarray(payload["targets"], dtype=float)
     if targets.ndim != 2 or targets.shape[1] != 2 or not np.all(np.isfinite(targets)):
         raise ValueError("plan file field 'targets' must be a finite (m, 2) array")
+    planned = float(payload["planned_T_rc_s"])
+    if not 0 <= planned < math.inf:
+        raise ValueError("plan file field 'planned_T_rc_s' must be finite and non-negative")
     return RecoveryPlan(
         targets=targets,
-        planned_time=float(payload["planned_T_rc_s"]),
+        planned_time=planned,
         method=payload["method"],
         k_star=payload["k_star"],
     )

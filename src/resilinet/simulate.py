@@ -183,6 +183,10 @@ class ExperimentSpec:
         for method in self.methods:
             if method not in PLAN_METHODS:
                 raise ValueError(f"unknown method: {method!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("methods must not repeat an entry")
+        if len(set(self.damage_sizes)) < len(self.damage_sizes):
+            raise ValueError("damage_sizes must not repeat an entry")
 
     @property
     def side(self) -> float:
@@ -328,6 +332,8 @@ def run_experiment(spec: ExperimentSpec, weights: ModelWeights | None = None,
     dropped.  Methods share each trial's topology and damage draw, and plan
     and fly at the one speed ``spec.max_speed``, which ``config`` must match.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     config = config or Hyperparams(max_speed=spec.max_speed)
     if config.max_speed != spec.max_speed:
         raise ValueError(f"config max_speed {config.max_speed} != spec's {spec.max_speed}")

@@ -146,6 +146,23 @@ class TestExperiment:
         assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--nd", "10,10"], "damage_sizes must not repeat an entry"),
+        (["--nd", "10", "--methods", "centering,centering"],
+         "methods must not repeat an entry"),
+        (["--nd", "10", "--jobs", "0"], "jobs must be at least 1"),
+        (["--nd", "10", "--jobs", "-3"], "jobs must be at least 1"),
+    ], ids=["repeated-damage-size", "repeated-method", "jobs-zero", "jobs-negative"])
+    def test_a_repeated_entry_or_no_job_is_a_usage_error(self, tmp_path, capsys, argv,
+                                                        message):
+        capsys.readouterr()
+        assert run("experiment", "--n", "30", "--trials", "1", *argv,
+                   "--out-dir", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_experiment_needs_model_for_learned(self, tmp_path):
         assert run("experiment", "--n", "20", "--nd", "9", "--trials", "1",
                    "--methods", "ml-dagl",
@@ -375,8 +392,15 @@ class TestMalformedInput:
          "plan file field 'k_star' must be a JSON positive integer or null"),
         ("plan", "method", "", [], "plan file field 'method' must be one of 'ml-dagl', "
                                    "'centering', 'fallback-centroid'"),
+        ("plan", "planned_T_rc_s", float("nan"), [],
+         "plan file field 'planned_T_rc_s' must be finite and non-negative"),
+        ("plan", "planned_T_rc_s", float("inf"), [],
+         "plan file field 'planned_T_rc_s' must be finite and non-negative"),
+        ("plan", "planned_T_rc_s", -5, [],
+         "plan file field 'planned_T_rc_s' must be finite and non-negative"),
     ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "step-nan", "step-inf",
-            "max-speed-inf", "step-too-small", "k-star-string", "method-empty"])
+            "max-speed-inf", "step-too-small", "k-star-string", "method-empty",
+            "planned-time-nan", "planned-time-inf", "planned-time-negative"])
     def test_simulate_rejects_a_bad_value(self, tmp_path, capsys, kind, field, value, argv,
                                           message):
         files = self._inputs(tmp_path)

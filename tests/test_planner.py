@@ -3,13 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resilinet import swarm
+from resilinet import gcn, swarm
 from resilinet.damage import DamageScenario, apply_damage, remaining_adjacency
 from resilinet.gcn import Hyperparams, ModelWeights, pretrain
 from resilinet.planner import (METHOD_CENTERING, METHOD_FALLBACK, METHOD_LEARNED,
                                RecoveryPlan, load_plan, plan_centering,
-                               plan_learned, save_plan, verify_plan)
+                               plan_learned, plan_recovery, save_plan, verify_plan)
 from resilinet.simulate import ExperimentSpec, run_experiment
 from resilinet.swarm import SwarmTopology, count_subnets, generate_swarm
 
@@ -82,6 +84,7 @@ class TestPlanLearned:
         weights = ModelWeights.init_scaled_uniform(8, 1, seed=0)
         plan = plan_learned(topo, scenario, weights, TINY)
         assert plan.method == METHOD_LEARNED
+        assert plan.k_star == 1 and plan.iterations == 0
         assert plan.planned_time == 0.0
         assert np.array_equal(plan.targets, topo.positions[scenario.remaining])
 
@@ -106,6 +109,84 @@ class TestPlanLearned:
         start = topo.positions[scenario.remaining]
         expected = np.linalg.norm(plan.targets - start, axis=1).max() / TINY.max_speed
         assert plan.planned_time == pytest.approx(expected)
+
+
+class TestPlanChoice:
+    """The one rule: the fastest connected branch, the lowest on a tie, if it beats the centroid."""
+
+    @staticmethod
+    def plan_with_metrics(monkeypatch, edit):
+        topo = generate_swarm(16, 200.0, 120.0, seed=26)
+        scenario = apply_damage(topo, 7, seed=76)
+        real = gcn.per_branch_metrics
+
+        def edited(*args):
+            metrics = real(*args)
+            edit(metrics)
+            return metrics
+
+        monkeypatch.setattr(gcn, "per_branch_metrics", edited)
+        weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
+        plan = plan_learned(topo, scenario, weights, TINY, seed=0)
+        return plan, plan_centering(topo, scenario, TINY.max_speed)
+
+    def test_no_connected_branch_falls_back_to_the_centroid(self, monkeypatch):
+        def split(metrics):
+            metrics.subnet_counts[:] = 2
+
+        plan, centroid = self.plan_with_metrics(monkeypatch, split)
+        assert plan.method == METHOD_FALLBACK and plan.k_star is None
+        assert np.array_equal(plan.targets, centroid.targets)
+        assert plan.planned_time == centroid.planned_time
+        assert plan.iterations == TINY.online_iters
+
+    def test_a_branch_slower_than_the_centroid_falls_back(self, monkeypatch):
+        plan, _ = self.plan_with_metrics(monkeypatch, lambda metrics: None)
+        assert plan.method == METHOD_LEARNED
+
+        def slow(metrics):
+            metrics.flight_times[:] *= 1e6
+
+        plan, centroid = self.plan_with_metrics(monkeypatch, slow)
+        assert plan.method == METHOD_FALLBACK and plan.k_star is None
+        assert np.array_equal(plan.targets, centroid.targets)
+        assert plan.planned_time == centroid.planned_time
+
+    def test_a_tie_goes_to_the_lowest_branch(self, monkeypatch):
+        def tie(metrics):
+            assert metrics.flight_times.shape == (3,)
+            metrics.flight_times[:] = [2e-3, 1e-3, 1e-3]
+            metrics.subnet_counts[:] = 1
+
+        plan, _ = self.plan_with_metrics(monkeypatch, tie)
+        assert plan.method == METHOD_LEARNED
+        assert plan.k_star == 2 and plan.planned_time == 1e-3
+
+
+@st.composite
+def planning_cases(draw):
+    """A connected swarm of 8-20 nodes with a third or more destroyed, split or not."""
+    n = draw(st.integers(8, 20))
+    topology = generate_swarm(n, 200.0, 120.0, seed=draw(st.integers(0, 2**32 - 1)))
+    scenario = apply_damage(topology, draw(st.integers(n // 3, n - 1)),
+                            seed=draw(st.integers(0, 2**32 - 1)), require_split=False)
+    return topology, scenario
+
+
+class TestPlanProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(planning_cases(), st.sampled_from((METHOD_LEARNED, METHOD_CENTERING)))
+    def test_plan_is_connected_and_within_the_centroid_bound(self, case, method):
+        topology, scenario = case
+        weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
+        plan = plan_recovery(method, topology, scenario, TINY, weights)
+        assert verify_plan(plan, topology.comm_range)
+        bound = plan_centering(topology, scenario, TINY.max_speed).planned_time
+        assert plan.planned_time <= bound
+        if plan.method == METHOD_LEARNED:
+            start = topology.positions[scenario.remaining]
+            distance = np.linalg.norm(plan.targets - start, axis=1).max()
+            assert plan.planned_time == distance / TINY.max_speed
 
 
 def count_calls(monkeypatch, function) -> list:
