@@ -67,8 +67,11 @@ class Hyperparams:
             raise ValueError("dropout must be in [0, 1)")
         if self.online_iters < 1 or self.pretrain_iters < 1:
             raise ValueError("iteration counts must be at least 1")
-        if not 0 < self.max_speed < math.inf:
-            raise ValueError("max_speed must be positive and finite")
+        if self.branch_cap < 1:
+            raise ValueError("branch_cap must be at least 1")
+        for name in ("lagrange_s", "learning_rate", "max_speed"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def resolve_gap_penalty(self, comm_range: float) -> float:
         """One full penalty unit per communication range of residual component gap."""
@@ -658,10 +661,10 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     per call.  After each train-mode step, an eval-mode forward scores every
     branch; the best feasible candidate per branch over all iterations is
     retained.  That eval trace is the next train forward's ``prefix``.
-    Stops early once a feasible best exists and the reported loss has been
-    stable (relative change < 1e-3) for 10 consecutive iterations.  An
-    entirely infeasible run is a value, not an error: every time is ``inf``.
-    The search chooses no branch; ``planner.plan_learned`` does.
+    Runs exactly ``config.online_iters`` iterations, or none when the
+    survivors start connected.  An entirely infeasible run is a value, not
+    an error: every time is ``inf``.  The search chooses no branch;
+    ``planner.plan_learned`` does.
     """
     config = config or Hyperparams()
     n, n_r = seq.n, seq.n_remaining
@@ -680,15 +683,10 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     eval_trace: ForwardTrace | None = None
     best_times = np.full(branches, np.inf)
     best_targets: list[np.ndarray | None] = [None] * branches
-    prev_loss: float | None = None
-    stable = 0
-    iterations = 0
 
-    for iterations in range(1, config.online_iters + 1):
-        state, head, _ = train_step(
-            weights, state, seq, kernel, start_remaining, comm_range, config, rng, buffers,
-            prefix=eval_trace,
-        )
+    for _ in range(config.online_iters):
+        state = train_step(weights, state, seq, kernel, start_remaining, comm_range, config,
+                           rng, buffers, prefix=eval_trace)[0]
         output, eval_trace = forward(weights, seq, kernel, config, train=False)
         metrics = per_branch_metrics(
             output, n, n_r, start_remaining, config.max_speed, comm_range
@@ -698,18 +696,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
                 best_times[k] = metrics.flight_times[k]
                 best_targets[k] = output[k * n: k * n + n_r].copy()
 
-        if prev_loss is not None and abs(head.reported - prev_loss) <= 1e-3 * max(
-            abs(prev_loss), 1e-12
-        ):
-            stable += 1
-        else:
-            stable = 0
-        prev_loss = head.reported
-        if stable >= 10 and np.isfinite(best_times).any():
-            break
-
     return SolutionSet(branch_targets=tuple(best_targets), flight_times=best_times,
-                       iterations=iterations)
+                       iterations=config.online_iters)
 
 
 def save_model(path: str | Path, weights: ModelWeights, init_seed: int,

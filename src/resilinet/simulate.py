@@ -180,13 +180,19 @@ class ExperimentSpec:
             raise ValueError("seeds must cover every trial")
         if self.t_max is not None and not self.t_max >= 0:
             raise ValueError("t_max must be a non-negative number")
+        for name in ("methods", "damage_sizes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat an entry")
         for method in self.methods:
             if method not in PLAN_METHODS:
                 raise ValueError(f"unknown method: {method!r}")
-        if len(set(self.methods)) < len(self.methods):
-            raise ValueError("methods must not repeat an entry")
-        if len(set(self.damage_sizes)) < len(self.damage_sizes):
-            raise ValueError("damage_sizes must not repeat an entry")
+        for n_d in self.damage_sizes:
+            if not 1 <= n_d <= self.n - 1:
+                raise ValueError(f"damage_sizes entry {n_d} is not in [1, n-1] = "
+                                 f"[1, {self.n - 1}]")
 
     @property
     def side(self) -> float:

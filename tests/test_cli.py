@@ -152,7 +152,10 @@ class TestExperiment:
          "methods must not repeat an entry"),
         (["--nd", "10", "--jobs", "0"], "jobs must be at least 1"),
         (["--nd", "10", "--jobs", "-3"], "jobs must be at least 1"),
-    ], ids=["repeated-damage-size", "repeated-method", "jobs-zero", "jobs-negative"])
+        (["--nd", "9,30"], "damage_sizes entry 30 is not in [1, n-1] = [1, 29]"),
+        (["--nd", "0"], "damage_sizes entry 0 is not in [1, n-1] = [1, 29]"),
+    ], ids=["repeated-damage-size", "repeated-method", "jobs-zero", "jobs-negative",
+            "damage-size-n", "damage-size-zero"])
     def test_a_repeated_entry_or_no_job_is_a_usage_error(self, tmp_path, capsys, argv,
                                                         message):
         capsys.readouterr()
@@ -214,8 +217,11 @@ class TestMalformedInput:
         ({"density": "dense"}, ["gen"], "config file field 'density' must be a JSON number"),
         ({"hyper": {"hidden_dim": 0}}, ["gen"], "hidden_dim and blocks must be at least 1"),
         ({"max_speed": 0}, ["gen"], "max_speed must be positive"),
+        ({"hyper": {"branch_cap": 0}}, ["pretrain", "--n", "16"],
+         "branch_cap must be at least 1"),
     ], ids=["hyper-unknown", "hyper-deleted-knob", "hyper-string", "hyper-not-object",
-            "n-null", "density-string", "hyper-rejected-on-gen", "max-speed-zero"])
+            "n-null", "density-string", "hyper-rejected-on-gen", "max-speed-zero",
+            "branch-cap-zero"])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -238,9 +244,15 @@ class TestMalformedInput:
          "step_s must be positive and finite"),
         (["experiment", "--max-speed", "inf", "--nd", "5", "--trials", "1"],
          "max_speed must be positive and finite"),
+        (["pretrain", "--lagrange", "nan"], "lagrange_s must be positive and finite"),
+        (["pretrain", "--lagrange", "-5"], "lagrange_s must be positive and finite"),
+        (["pretrain", "--learning-rate", "-1"], "learning_rate must be positive and finite"),
+        (["pretrain", "--learning-rate", "inf"], "learning_rate must be positive and finite"),
     ], ids=["gen-density-nan", "gen-density-inf", "gen-comm-range-nan",
             "experiment-density-nan", "experiment-comm-range-nan", "experiment-step-nan",
-            "experiment-step-inf", "experiment-max-speed-inf"])
+            "experiment-step-inf", "experiment-max-speed-inf", "pretrain-lagrange-nan",
+            "pretrain-lagrange-negative", "pretrain-learning-rate-negative",
+            "pretrain-learning-rate-inf"])
     def test_non_finite_parameter_is_a_usage_error(self, tmp_path, capsys, argv, message):
         out = ["--out-dir" if argv[0] == "experiment" else "--out", str(tmp_path / "x")]
         capsys.readouterr()

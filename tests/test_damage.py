@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from resilinet.damage import (DamageError, DamageScenario, apply_damage,
@@ -138,21 +140,32 @@ class TestBuildInputGraph:
         assert np.array_equal(graph.order[graph.n_remaining:], scenario.destroyed)
 
 
+@st.composite
+def scenarios(draw):
+    """(n, scenario): any non-empty destroyed set of 2-60 nodes that leaves a survivor."""
+    n = draw(st.integers(2, 60))
+    destroyed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return n, DamageScenario(destroyed=sorted(destroyed),
+                             remaining=sorted(set(range(n)) - destroyed))
+
+
 class TestScenarioFile:
-    def test_round_trip_uses_one_based_indices(self, tmp_path):
-        topo = generate_swarm(12, 200.0, 120.0, seed=2)
-        scenario = apply_damage(topo, 5, seed=3, require_split=False)
-        path = tmp_path / "scenario.json"
-        save_scenario(path, scenario, topology_ref="topo.json")
-        import json
-        payload = json.loads(path.read_text())
-        assert min(payload["destroyed"]) >= 1
-        loaded = load_scenario(path, topo.n)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenarios())
+    def test_round_trip_uses_one_based_indices(self, tmp_path, case):
+        """Save, load, save gives the same bytes and the same index split."""
+        n, scenario = case
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_scenario(first, scenario, topology_ref="topo.json")
+        assert json.loads(first.read_text())["destroyed"] == (scenario.destroyed + 1).tolist()
+        loaded = load_scenario(first, n)
+        save_scenario(second, loaded, topology_ref="topo.json")
+        assert second.read_bytes() == first.read_bytes()
         assert np.array_equal(loaded.destroyed, scenario.destroyed)
         assert np.array_equal(loaded.remaining, scenario.remaining)
 
     def test_rejects_out_of_range(self, tmp_path):
-        import json
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "topology_ref": "",
                                     "destroyed": [99]}))
@@ -160,7 +173,6 @@ class TestScenarioFile:
             load_scenario(path, 10)
 
     def test_rejects_missing_destroyed(self, tmp_path):
-        import json
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "topology_ref": ""}))
         with pytest.raises(ValueError, match="scenario file lacks required field 'destroyed'"):

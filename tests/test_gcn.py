@@ -4,8 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resilinet import gcn
 from resilinet.damage import DamageScenario, apply_damage, build_input_graph
@@ -46,6 +47,18 @@ def write_non_finite_model(path, bad=np.nan):
     poisoned[1, 1] = bad
     payload["weights"][2] = base64.b64encode(poisoned.astype("<f8").tobytes()).decode("ascii")
     path.write_text(json.dumps(payload))
+
+
+@st.composite
+def model_cases(draw):
+    """(weights, init_seed, metadata): any finite float64 weights of a small network."""
+    hidden, blocks = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    matrices = tuple(draw(arrays(np.float64, shape, elements=finite))
+                     for shape in ModelWeights.expected_shapes(hidden, blocks))
+    metadata = {"n": draw(st.integers(2, 1000)), "final_loss": draw(finite)}
+    return (ModelWeights(matrices, hidden, blocks), draw(st.integers(0, 2**32 - 1)),
+            metadata)
 
 
 def pair_sequence(positions, destroyed, comm_range):
@@ -529,7 +542,7 @@ class TestSolve:
             assert targets.shape == (graph_in.n_remaining, 2)
             assert count_subnets(build_adjacency(targets, topo.comm_range)) == 1
             assert time == np.linalg.norm(targets - start, axis=1).max() / TINY.max_speed
-        assert solution.iterations <= TINY.online_iters
+        assert solution.iterations == TINY.online_iters
 
     @pytest.mark.parametrize("split", [[0], [0, 1]], ids=["first-branch", "every-branch"])
     def test_a_branch_never_connected_holds_none(self, monkeypatch, split):
@@ -580,17 +593,21 @@ class TestPretrain:
         result = pretrain(16, 200.0, 120.0, seed=5, config=config)
         assert result.curve[-1].reported_loss < result.curve[0].reported_loss
 
-    def test_model_round_trip(self, tmp_path):
-        config = Hyperparams(hidden_dim=8, blocks=2, pretrain_iters=2,
-                             online_iters=1)
-        result = pretrain(12, 200.0, 120.0, seed=3, config=config)
-        path = tmp_path / "model.json"
-        save_model(path, result.weights, init_seed=3, metadata=result.metadata)
-        loaded, metadata = load_model(path)
-        assert metadata["n"] == 12
-        assert loaded.hidden_dim == 8 and loaded.blocks == 2
-        for a, b in zip(result.weights.matrices, loaded.matrices):
-            assert np.array_equal(a, b)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model_cases())
+    def test_model_round_trip(self, tmp_path, case):
+        """Save, load, save gives the same bytes; weights come back bit for bit."""
+        weights, init_seed, metadata = case
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(first, weights, init_seed=init_seed, metadata=metadata)
+        loaded, loaded_metadata = load_model(first)
+        save_model(second, loaded, init_seed=init_seed, metadata=loaded_metadata)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded_metadata == metadata
+        assert (loaded.hidden_dim, loaded.blocks) == (weights.hidden_dim, weights.blocks)
+        for a, b in zip(weights.matrices, loaded.matrices):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("field", ["d_s", "L", "shapes", "weights"])
     def test_model_file_rejects_missing_field(self, tmp_path, field):

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from resilinet import gcn, swarm
@@ -109,6 +109,7 @@ class TestPlanLearned:
         start = topo.positions[scenario.remaining]
         expected = np.linalg.norm(plan.targets - start, axis=1).max() / TINY.max_speed
         assert plan.planned_time == pytest.approx(expected)
+        assert plan.iterations == TINY.online_iters
 
 
 class TestPlanChoice:
@@ -265,17 +266,34 @@ class TestOneAdjacencyBuild:
         assert builds() == 0
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plans(draw):
+    """Any method's plan: finite targets, a learned plan's branch, else no k_star."""
+    method = draw(st.sampled_from((METHOD_CENTERING, METHOD_LEARNED, METHOD_FALLBACK)))
+    points = draw(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=12))
+    return RecoveryPlan(targets=np.array(points), planned_time=draw(st.floats(0.0, 1e6)),
+                        method=method,
+                        k_star=draw(st.integers(1, 12)) if method == METHOD_LEARNED else None)
+
+
 class TestPlanFile:
-    def test_round_trip(self, tmp_path):
-        topo = generate_swarm(16, 200.0, 120.0, seed=9)
-        scenario = apply_damage(topo, 7, seed=10)
-        plan = plan_centering(topo, scenario)
-        path = tmp_path / "plan.json"
-        save_plan(path, plan, scenario_ref="scenario.json")
-        loaded = load_plan(path)
-        assert loaded.method == plan.method
-        assert loaded.planned_time == pytest.approx(plan.planned_time)
-        assert np.allclose(loaded.targets, plan.targets)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plans())
+    def test_round_trip(self, tmp_path, plan):
+        """Save, load, save gives the same bytes; targets come back bit for bit."""
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_plan(first, plan, scenario_ref="scenario.json")
+        loaded = load_plan(first)
+        save_plan(second, loaded, scenario_ref="scenario.json")
+        assert second.read_bytes() == first.read_bytes()
+        assert (loaded.method, loaded.k_star) == (plan.method, plan.k_star)
+        assert loaded.planned_time == plan.planned_time
+        assert loaded.targets.dtype == plan.targets.dtype
+        assert loaded.targets.tobytes() == plan.targets.tobytes()
 
     @pytest.mark.parametrize("targets", [[[0.0, float("nan")], [1.0, 2.0]],
                                          [[0.0, float("inf")]],

@@ -340,6 +340,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown method: 'teleport'"):
             self.spec(methods=("teleport",))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("methods", (), "methods must not be empty"),
+        ("damage_sizes", (), "damage_sizes must not be empty"),
+        ("damage_sizes", (9, 20), r"damage_sizes entry 20 is not in \[1, n-1\] = \[1, 19\]"),
+        ("damage_sizes", (0,), r"damage_sizes entry 0 is not in \[1, n-1\] = \[1, 19\]"),
+    ], ids=["no-method", "no-damage-size", "damage-size-n", "damage-size-zero"])
+    def test_empty_or_out_of_range_entries_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            self.spec(**{field: value})
+
     def test_planner_speed_must_match_the_experiment(self):
         with pytest.raises(ValueError, match="max_speed"):
             run_experiment(self.spec(max_speed=5.0), config=Hyperparams())

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from resilinet.swarm import (GenerationError, SwarmTopology, _pairwise_sq_distances,
@@ -280,14 +280,21 @@ class TestDiameterHops:
 
 
 class TestTopologyFile:
-    def test_round_trip(self, tmp_path):
-        topo = generate_swarm(20, 200.0, 120.0, seed=4)
-        path = tmp_path / "topo.json"
-        save_topology(path, topo)
-        loaded = load_topology(path)
-        assert loaded.n == topo.n
-        assert loaded.comm_range == topo.comm_range
-        assert np.allclose(loaded.positions, topo.positions, atol=1e-6)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(COORDS, COORDS), min_size=2, max_size=20),
+           st.floats(1e-3, 1e4), st.floats(1e-3, 1e6))
+    def test_round_trip(self, tmp_path, points, comm_range, side):
+        """Save, load, save gives the same bytes; positions come back at 1e-6 m."""
+        topo = SwarmTopology(np.array(points), comm_range, side)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_topology(first, topo)
+        loaded = load_topology(first)
+        save_topology(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.comm_range == comm_range and loaded.side == side
+        assert np.array_equal(loaded.positions, [[round(x, 6), round(y, 6)] for x, y in points])
+        assert np.abs(loaded.positions - topo.positions).max() <= 5.01e-7
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
