@@ -87,27 +87,48 @@ def _options(args: argparse.Namespace) -> tuple[dict, Hyperparams]:
     return options, Hyperparams(max_speed=options["max_speed"], **hyper)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--seed", type=int, help="master seed (or RESILINET_SEED)")
+# Each option flag and each flag that several commands take, declared once:
+# its name and ``add_argument`` keywords.  A flag's dest is its option key
+# (``DEFAULTS``, ``HYPER_DEFAULTS``) or the attribute its ``cmd_*`` reads.
+FLAGS = {
+    "--config": dict(help="JSON config file (flags override it)"),
+    "--seed": dict(type=int, help="master seed (or RESILINET_SEED)"),
+    "--n": dict(type=int, help="number of nodes"),
+    "--density": dict(type=float, help="nodes per km^2"),
+    "--comm-range": dict(type=float, help="communication range in meters"),
+    "--max-speed": dict(type=float),
+    "--step": dict(dest="step_s", type=float),
+    "--t-max": dict(type=float),
+    "--hidden-dim": dict(type=int),
+    "--blocks": dict(type=int),
+    "--iters": dict(dest="pretrain_iters", type=int, help="pretraining iterations"),
+    "--online-iters": dict(type=int),
+    "--dropout": dict(type=float),
+    "--lagrange": dict(dest="lagrange_s", type=float),
+    "--learning-rate": dict(type=float),
+    "--topology": dict(required=True),
+    "--scenario": dict(required=True),
+    "--model": dict(help="pretrained model file (for ml-dagl)"),
+    "--out": dict(required=True),
+    "--out-dir": dict(required=True),
+}
+SWARM_FLAGS = ("--n", "--density", "--comm-range")
+SOLVER_FLAGS = ("--online-iters", "--dropout", "--lagrange", "--learning-rate")
 
 
-def _add_swarm_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="number of nodes")
-    parser.add_argument("--density", type=float, help="nodes per km^2")
-    parser.add_argument("--comm-range", dest="comm_range", type=float,
-                        help="communication range in meters")
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **FLAGS[name])
 
 
-def _add_hyper_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    parser.add_argument("--blocks", type=int)
-    parser.add_argument("--iters", dest="pretrain_iters", type=int,
-                        help="pretraining iterations")
-    parser.add_argument("--online-iters", dest="online_iters", type=int)
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--lagrange", dest="lagrange_s", type=float)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
+def _damage_sizes(text: str) -> tuple[int, ...]:
+    sizes = []
+    for entry in text.split(","):
+        try:
+            sizes.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--nd entry {entry!r} is not an integer") from None
+    return tuple(sizes)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -183,7 +204,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         n=opts["n"], density_per_km2=opts["density"], comm_range=opts["comm_range"],
         max_speed=opts["max_speed"], step_s=opts["step_s"],
-        damage_sizes=tuple(int(v) for v in args.nd.split(",")),
+        damage_sizes=_damage_sizes(args.nd),
         trials=args.trials,
         master_seed=opts["seed"],
         methods=tuple(args.methods.split(",")),
@@ -224,71 +245,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a connected swarm topology")
-    _add_common(p)
-    _add_swarm_params(p)
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--config", "--seed", *SWARM_FLAGS, "--out")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("damage", help="draw a damage scenario")
-    _add_common(p)
-    p.add_argument("--topology", required=True)
+    _add_flags(p, "--config", "--seed", "--topology", "--out")
     p.add_argument("--nd", type=int, required=True, help="number of destroyed nodes")
     p.add_argument("--no-require-split", action="store_true",
                    help="accept draws that leave the survivors connected")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_damage)
 
     p = sub.add_parser("pretrain", help="pretrain planner weights")
-    _add_common(p)
-    _add_swarm_params(p)
-    _add_hyper_params(p)
-    p.add_argument("--max-speed", dest="max_speed", type=float)
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--config", "--seed", *SWARM_FLAGS, "--hidden-dim", "--blocks", "--iters",
+               "--dropout", "--lagrange", "--learning-rate", "--max-speed", "--out")
     p.add_argument("--loss-curve", help="also write the loss curve CSV here")
     p.set_defaults(func=cmd_pretrain)
 
+    # The model file fixes the network's shape, so plan and experiment take
+    # only the online solver's knobs.
     p = sub.add_parser("plan", help="plan recovery targets for a scenario")
-    _add_common(p)
-    _add_hyper_params(p)
-    p.add_argument("--topology", required=True)
-    p.add_argument("--scenario", required=True)
+    _add_flags(p, "--config", "--seed", *SOLVER_FLAGS, "--topology", "--scenario",
+               "--model", "--max-speed", "--out")
     p.add_argument("--method", choices=PLAN_METHODS, default=METHOD_LEARNED)
-    p.add_argument("--model", help="pretrained model file (ml-dagl)")
-    p.add_argument("--max-speed", dest="max_speed", type=float)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="execute a plan step by step")
-    _add_common(p)
-    p.add_argument("--topology", required=True)
-    p.add_argument("--scenario", required=True)
+    _add_flags(p, "--config", "--topology", "--scenario", "--max-speed", "--step", "--t-max",
+               "--out")
     p.add_argument("--plan", required=True)
-    p.add_argument("--max-speed", dest="max_speed", type=float)
-    p.add_argument("--step", dest="step_s", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--out", required=True)
     p.add_argument("--series", help="also write the sub-net count series CSV here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a seeded Monte-Carlo sweep")
-    _add_common(p)
-    _add_swarm_params(p)
-    _add_hyper_params(p)
+    _add_flags(p, "--config", "--seed", *SWARM_FLAGS, *SOLVER_FLAGS, "--model", "--max-speed",
+               "--step", "--t-max", "--out-dir")
     p.add_argument("--nd", required=True, help="damage sizes, comma separated")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--methods", default=METHOD_CENTERING,
                    help="comma separated: centering,ml-dagl")
-    p.add_argument("--model", help="pretrained model file (for ml-dagl)")
-    p.add_argument("--max-speed", dest="max_speed", type=float)
-    p.add_argument("--step", dest="step_s", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--jobs", type=int, default=1, help="parallel trials")
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="re-derive summary CSVs from a results JSON")
+    _add_flags(p, "--out-dir")
     p.add_argument("--results", required=True)
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -61,14 +61,11 @@ class Hyperparams:
     branch_cap: int = 12
 
     def __post_init__(self):
-        if self.hidden_dim < 1 or self.blocks < 1:
-            raise ValueError("hidden_dim and blocks must be at least 1")
+        for name in ("hidden_dim", "blocks", "pretrain_iters", "online_iters", "branch_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.online_iters < 1 or self.pretrain_iters < 1:
-            raise ValueError("iteration counts must be at least 1")
-        if self.branch_cap < 1:
-            raise ValueError("branch_cap must be at least 1")
         for name in ("lagrange_s", "learning_rate", "max_speed"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -152,19 +149,18 @@ def scenario_kernel(topology: SwarmTopology, scenario: DamageScenario, branch_ca
 
 
 def kernel_flow(seq: DamageGraphSequence, branch: int, x: np.ndarray,
-                steps: int, step_size: float | None = None) -> np.ndarray:
+                steps: int) -> np.ndarray:
     """Apply one branch's kernel ``steps`` times to x (no weights).
 
-    The kernel is the branch's diagonal block of ``build_kernel``, so an
-    explicit ``step_size`` must satisfy the bound of the whole batch.
-    Column sums are invariant; on a connected branch the rows converge to
-    the centroid of x, and on a disconnected branch to per-component
-    centroids.
+    The kernel is the branch's diagonal block of ``build_kernel`` at its
+    default step 1/n.  Column sums are invariant; on a connected branch the
+    rows converge to the centroid of x, and on a disconnected branch to
+    per-component centroids.
     """
     if not 1 <= branch <= seq.branches:
         raise ValueError("branch index out of range")
     lo = (branch - 1) * seq.n
-    kernel = build_kernel(seq, step_size)[lo:lo + seq.n, lo:lo + seq.n]
+    kernel = build_kernel(seq)[lo:lo + seq.n, lo:lo + seq.n]
     out = np.asarray(x, dtype=float).copy()
     for _ in range(steps):
         out = kernel @ out
@@ -724,6 +720,9 @@ def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
 def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
     payload = read_payload(path, "model", MODEL_VERSION, {"d_s": "integer", "L": "integer",
                                                           "shapes": "list", "weights": "list"})
+    for field in ("d_s", "L"):
+        if payload[field] < 1:
+            raise ValueError(f"model file field '{field}' must be at least 1")
     shapes, blobs = payload["shapes"], payload["weights"]
     if not all(isinstance(s, list) and len(s) == 2
                and all(type(d) is int and d >= 0 for d in s) for s in shapes):

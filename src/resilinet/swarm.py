@@ -44,6 +44,10 @@ class SwarmTopology:
             raise ValueError("positions must be an (n, 2) array with n >= 2")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
+        # A finite sum of magnitudes bounds every sub-swarm's centroid.
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.abs(pos).sum(axis=0))):
+                raise ValueError("positions are too large: their centroid would overflow")
         if not self.comm_range > 0:
             raise ValueError("comm_range (topology file field 'd_tr_m') must be positive")
         if not (math.isfinite(self.side) and self.side > 0):

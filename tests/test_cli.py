@@ -4,6 +4,7 @@ import json
 import pytest
 
 from resilinet.cli import (EXIT_CONFIG, EXIT_GENERATION, EXIT_OK, main)
+from resilinet.gcn import ModelWeights, save_model
 
 from test_gcn import write_non_finite_model
 
@@ -55,6 +56,32 @@ class TestGen:
                    "--out", str(tmp_path / "x.json")) == EXIT_CONFIG
 
 
+class TestFlags:
+    REQUIRED = {
+        "plan": ["--topology", "t.json", "--scenario", "s.json"],
+        "experiment": ["--nd", "5"],
+        "pretrain": [],
+        "simulate": ["--topology", "t.json", "--scenario", "s.json", "--plan", "p.json"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        ("plan", "--hidden-dim"), ("plan", "--blocks"), ("plan", "--iters"),
+        ("experiment", "--hidden-dim"), ("experiment", "--blocks"), ("experiment", "--iters"),
+        ("pretrain", "--online-iters"), ("simulate", "--seed"),
+    ])
+    def test_a_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, command,
+                                                          flag):
+        """The model file fixes the network's shape, pretraining runs no online search,
+        and simulating draws nothing at random."""
+        out = ["--out-dir" if command == "experiment" else "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(command, *self.REQUIRED[command], *out, flag, "3")
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 class TestPipeline:
     def test_full_pipeline_small(self, tmp_path):
         topo = tmp_path / "topo.json"
@@ -72,8 +99,7 @@ class TestPipeline:
                    "--blocks", "1", "--iters", "5", "--dropout", "0",
                    "--out", str(model), "--loss-curve", str(curve)) == EXIT_OK
         assert run("plan", "--topology", str(topo), "--scenario", str(scenario),
-                   "--model", str(model), "--online-iters", "10",
-                   "--hidden-dim", "8", "--blocks", "1", "--dropout", "0",
+                   "--model", str(model), "--online-iters", "10", "--dropout", "0",
                    "--out", str(plan)) == EXIT_OK
         assert run("simulate", "--topology", str(topo), "--scenario", str(scenario),
                    "--plan", str(plan), "--out", str(sim),
@@ -154,8 +180,9 @@ class TestExperiment:
         (["--nd", "10", "--jobs", "-3"], "jobs must be at least 1"),
         (["--nd", "9,30"], "damage_sizes entry 30 is not in [1, n-1] = [1, 29]"),
         (["--nd", "0"], "damage_sizes entry 0 is not in [1, n-1] = [1, 29]"),
+        (["--nd", "9,x"], "--nd entry 'x' is not an integer"),
     ], ids=["repeated-damage-size", "repeated-method", "jobs-zero", "jobs-negative",
-            "damage-size-n", "damage-size-zero"])
+            "damage-size-n", "damage-size-zero", "damage-size-not-integer"])
     def test_a_repeated_entry_or_no_job_is_a_usage_error(self, tmp_path, capsys, argv,
                                                         message):
         capsys.readouterr()
@@ -215,7 +242,7 @@ class TestMalformedInput:
          "config key 'hyper' must be a JSON object"),
         ({"n": None}, ["gen"], "config file field 'n' must be a JSON integer"),
         ({"density": "dense"}, ["gen"], "config file field 'density' must be a JSON number"),
-        ({"hyper": {"hidden_dim": 0}}, ["gen"], "hidden_dim and blocks must be at least 1"),
+        ({"hyper": {"hidden_dim": 0}}, ["gen"], "hidden_dim must be at least 1"),
         ({"max_speed": 0}, ["gen"], "max_speed must be positive"),
         ({"hyper": {"branch_cap": 0}}, ["pretrain", "--n", "16"],
          "branch_cap must be at least 1"),
@@ -266,7 +293,9 @@ class TestMalformedInput:
         ("positions", None, "topology file field 'positions' must be a JSON list"),
         ("d_tr_m", None, "topology file field 'd_tr_m' must be a JSON number"),
         ("n", True, "topology file field 'n' must be a JSON integer"),
-    ], ids=["positions-null", "d_tr_m-null", "n-bool"])
+        ("positions", [[1e308, 0.0]] * 8 + [[-1e308, 0.0]] * 8,
+         "positions are too large: their centroid would overflow"),
+    ], ids=["positions-null", "d_tr_m-null", "n-bool", "positions-centroid-overflow"])
     def test_damage_on_topology_with_a_mistyped_field(self, tmp_path, capsys, field, value,
                                                       message):
         topo = tmp_path / "topo.json"
@@ -339,7 +368,6 @@ class TestMalformedInput:
                          "--out", str(tmp_path / "plan.json")],
             "model": ["plan", "--topology", str(files["topology"]),
                       "--scenario", str(files["scenario"]), "--model", str(files["model"]),
-                      "--hidden-dim", "4", "--blocks", "1",
                       "--out", str(tmp_path / "plan.json")],
             "results": ["report", "--results", str(files["results"]),
                         "--out-dir", str(tmp_path / "report")],
@@ -455,7 +483,6 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run("plan", "--method", "ml-dagl", "--topology", str(files["topology"]),
                    "--scenario", str(files["scenario"]), "--model", str(files["model"]),
-                   "--hidden-dim", "4", "--blocks", "1",
                    "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "graph is disconnected" in err
@@ -468,7 +495,18 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run("plan", "--topology", str(files["topology"]),
                    "--scenario", str(files["scenario"]), "--model", str(files["model"]),
-                   "--hidden-dim", "4", "--blocks", "1",
                    "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
         assert "model file field 'weights' entry 2 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_plan_with_a_zero_block_model(self, tmp_path, capsys):
+        files = self._inputs(tmp_path)
+        save_model(files["model"], ModelWeights.init_scaled_uniform(8, 0, seed=0), 0)
+        capsys.readouterr()
+        assert run("plan", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--model", str(files["model"]),
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model file field 'L' must be at least 1" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "plan.json").exists()

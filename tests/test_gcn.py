@@ -412,14 +412,15 @@ class TestKernelFlow:
         degree = [g.full_adjacency().sum(axis=1).max() for g in seq.graphs]
         assert degree[0] < degree[1]
         with pytest.raises(ValueError, match="contraction bound"):
-            kernel_flow(seq, 1, graph_in.features, steps=1, step_size=1.0 / degree[0])
+            build_kernel(seq, step=1.0 / degree[0])
         with pytest.raises(ValueError, match="branch"):
             kernel_flow(seq, 3, graph_in.features, steps=1)
 
     def test_two_node_average_in_one_step(self):
         graph_in, seq = pair_sequence([[0.0, 0.0], [2.0, 0.0]], destroyed=[1],
                                       comm_range=5.0)
-        out = kernel_flow(seq, 1, graph_in.features, steps=1, step_size=0.5)
+        assert seq.n == 2  # so the default step is 1/2
+        out = kernel_flow(seq, 1, graph_in.features, steps=1)
         assert np.allclose(out, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_column_sums_preserved(self):
@@ -641,6 +642,14 @@ class TestPretrain:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"model file {message}".replace("[", r"\[")
                            .replace("]", r"\]")):
+            load_model(path)
+
+    @pytest.mark.parametrize("hidden_dim, blocks, field", [(8, 0, "L"), (0, 0, "d_s")])
+    def test_model_file_rejects_a_size_below_one(self, tmp_path, hidden_dim, blocks, field):
+        """Shapes can match a zero width or block count; ``forward`` needs both."""
+        path = tmp_path / "model.json"
+        save_model(path, ModelWeights.init_scaled_uniform(hidden_dim, blocks, seed=0), 0)
+        with pytest.raises(ValueError, match=f"model file field '{field}' must be at least 1"):
             load_model(path)
 
     def test_model_file_rejects_mismatched_lengths(self, tmp_path):
