@@ -7,7 +7,8 @@ variable supplies the seed when neither a flag nor the config file does.
 One ``max_speed`` drives the planner, the simulator and the recovery budget.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 generation/damage
-failure, 4 training divergence.
+failure, 4 training divergence, 5 internal error (a plan that fails its own
+connectivity check).
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GENERATION = 3
 EXIT_DIVERGENCE = 4
+EXIT_INTERNAL = 5
 
 DEFAULTS = {
     "n": 200,
@@ -308,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergence as exc:
         print(f"training divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

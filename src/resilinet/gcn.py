@@ -384,37 +384,33 @@ def _component_gap_gradient(targets: np.ndarray, n_comp: int, labels: np.ndarray
                             grad_out: np.ndarray) -> float:
     """Spanning-tree gap surrogate for the sub-net penalty; adds into grad_out.
 
-    Components of the candidate graph are joined into a complete graph
-    weighted by their closest node-pair distance; along the minimum spanning
-    tree, every edge contributes gap_penalty * (distance - comm_range), with
-    gradient on the closest pair pulling the components together.
-    ``n_comp`` and ``labels`` are the components of that candidate graph.
-    Returns the surrogate value (zero when already connected).
+    The candidate graph's ``n_comp`` components (``labels``) are joined along
+    a minimum spanning tree of their closest node pairs; each join adds
+    gap_penalty * (distance - comm_range) and pulls its pair together.  By
+    the cut property the joins are the edges longer than comm_range in a
+    minimum spanning tree of the targets whose links all weigh
+    comm_range**2: Kruskal takes every link first, which builds the
+    components.  Joins are summed in component order, not the tree's edge
+    order.  Returns the surrogate value (zero when connected).
     """
     if n_comp <= 1:
         return 0.0
-    members = [np.flatnonzero(labels == c) for c in range(n_comp)]
-    dist = np.sqrt(_pairwise_sq_distances(targets))
-
-    comp_dist = np.zeros((n_comp, n_comp))
-    closest: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(n_comp):
-        for b in range(a + 1, n_comp):
-            sub = dist[np.ix_(members[a], members[b])]
-            flat = int(np.argmin(sub))
-            i = int(members[a][flat // sub.shape[1]])
-            j = int(members[b][flat % sub.shape[1]])
-            comp_dist[a, b] = comp_dist[b, a] = dist[i, j]
-            closest[(a, b)] = (i, j)
-
-    tree = minimum_spanning_tree(sparse.csr_matrix(np.triu(comp_dist))).tocoo()
+    sq = _pairwise_sq_distances(targets)
+    r2 = comm_range * comm_range
+    # A zero weight is no edge, so a link between coincident nodes weighs r2
+    # like every other link.  The CSR form keeps every positive weight;
+    # csgraph's dense reader would also drop those within 1e-8 of zero.
+    weights = sparse.csr_matrix(np.triu(np.where(sq <= r2, r2, sq), 1))
+    tree = minimum_spanning_tree(weights).tocoo()
+    joins = tree.data > r2
+    rows, cols = tree.row[joins], tree.col[joins]
+    lower, higher = np.sort(labels[np.stack([rows, cols])], axis=0)
+    order = np.lexsort((higher, lower))
     surrogate = 0.0
-    for a, b in zip(tree.row, tree.col):
-        a, b = (int(a), int(b)) if a < b else (int(b), int(a))
-        i, j = closest[(a, b)]
-        w = dist[i, j]
+    for i, j in zip(rows[order], cols[order]):
+        w = np.sqrt(sq[i, j])
         gap = w - comm_range
-        if gap <= 0.0 or w == 0.0:
+        if gap <= 0.0:
             continue
         surrogate += gap_penalty * gap
         unit = (targets[i] - targets[j]) / w

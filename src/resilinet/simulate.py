@@ -43,7 +43,7 @@ SUMMARY_COLUMNS = [
     "method", "n", "n_d", "R_c", "mean_T", "std_T", "mean_deg", "max_deg",
 ]
 _SUMMARY_FIELDS = {"method": "string", "n": "number", "n_d": "number",
-                  **{c: "number or null" for c in SUMMARY_COLUMNS[3:]}}
+                  **{c: "finite number or null" for c in SUMMARY_COLUMNS[3:]}}
 
 
 @dataclass(frozen=True)

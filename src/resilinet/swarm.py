@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +49,12 @@ class SwarmTopology:
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(np.abs(pos).sum(axis=0))):
                 raise ValueError("positions are too large: their centroid would overflow")
+            # The bounding box's squared diagonal, in _pairwise_sq_distances'
+            # elementwise form, bounds every pair's squared distance.
+            dx, dy = np.ptp(pos, axis=0)
+            if not math.isfinite(dx * dx + dy * dy):
+                raise ValueError("positions are too far apart: their squared distances "
+                                 "would overflow")
         if not self.comm_range > 0:
             raise ValueError("comm_range (topology file field 'd_tr_m') must be positive")
         if not (math.isfinite(self.side) and self.side > 0):
@@ -258,7 +265,9 @@ _NUMBER_LIST = _list_of(_NUMBER)
 # Each JSON type name maps to the test a parsed value must pass.
 _JSON_TYPES = {
     "list": _is(list), "integer": _is(int), "number": _NUMBER, "string": _is(str),
-    "number or null": lambda value: value is None or _NUMBER(value),
+    # NaN, the infinities and an integer too large for a float all fail it.
+    "finite number or null":
+        lambda value: value is None or _NUMBER(value) and abs(value) <= sys.float_info.max,
     "positive integer or null": lambda value: value is None or _is(int)(value) and value > 0,
     "list of integers": _list_of(_is(int)),
     "list of number pairs": _list_of(lambda pair: _NUMBER_LIST(pair) and len(pair) == 2),

@@ -13,9 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
-from resilinet.swarm import build_adjacency, count_subnets, degree_stats
+from resilinet.swarm import _pairwise_sq_distances, build_adjacency, count_subnets, degree_stats
 
 
 def dense_subnet_series(start, targets, max_speed, step_s, comm_range):
@@ -204,3 +204,42 @@ def functional_adam_step(weights, grads, state, config):
         replace(weights, matrices=tuple(new_mats)),
         type(state)(first_moment=tuple(new_m), second_moment=tuple(new_v), step=t),
     )
+
+
+def component_pair_gap_gradient(targets, n_comp, labels, comm_range, gap_penalty, grad_out):
+    """Spanning-tree gap surrogate over a component-pair table.
+
+    The package's former ``gcn._component_gap_gradient`` body, kept verbatim:
+    the closest node pair of every two components, then a minimum spanning
+    tree over the components weighted by those distances.
+    """
+    if n_comp <= 1:
+        return 0.0
+    members = [np.flatnonzero(labels == c) for c in range(n_comp)]
+    dist = np.sqrt(_pairwise_sq_distances(targets))
+
+    comp_dist = np.zeros((n_comp, n_comp))
+    closest: dict[tuple[int, int], tuple[int, int]] = {}
+    for a in range(n_comp):
+        for b in range(a + 1, n_comp):
+            sub = dist[np.ix_(members[a], members[b])]
+            flat = int(np.argmin(sub))
+            i = int(members[a][flat // sub.shape[1]])
+            j = int(members[b][flat % sub.shape[1]])
+            comp_dist[a, b] = comp_dist[b, a] = dist[i, j]
+            closest[(a, b)] = (i, j)
+
+    tree = minimum_spanning_tree(csr_matrix(np.triu(comp_dist))).tocoo()
+    surrogate = 0.0
+    for a, b in zip(tree.row, tree.col):
+        a, b = (int(a), int(b)) if a < b else (int(b), int(a))
+        i, j = closest[(a, b)]
+        w = dist[i, j]
+        gap = w - comm_range
+        if gap <= 0.0 or w == 0.0:
+            continue
+        surrogate += gap_penalty * gap
+        unit = (targets[i] - targets[j]) / w
+        grad_out[i] += gap_penalty * unit
+        grad_out[j] -= gap_penalty * unit
+    return surrogate

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from resilinet.cli import (EXIT_CONFIG, EXIT_GENERATION, EXIT_OK, main)
+from resilinet import planner
+from resilinet.cli import (EXIT_CONFIG, EXIT_GENERATION, EXIT_INTERNAL, EXIT_OK, main)
 from resilinet.gcn import ModelWeights, save_model
 
 from test_gcn import write_non_finite_model
@@ -150,6 +151,26 @@ class TestPipeline:
                    "--method", "centering", "--out", str(plan)) == EXIT_OK
         assert json.loads(plan.read_text())["method"] == "centering"
 
+    @pytest.mark.parametrize("command", ["plan", "experiment"])
+    def test_a_plan_failing_its_own_check_is_an_internal_error(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        if command == "plan":
+            topo, scenario = tmp_path / "topo.json", tmp_path / "scenario.json"
+            assert run("gen", "--n", "16", "--seed", "1", "--out", str(topo)) == EXIT_OK
+            assert run("damage", "--topology", str(topo), "--nd", "7", "--seed", "2",
+                       "--out", str(scenario)) == EXIT_OK
+            argv = ("plan", "--topology", str(topo), "--scenario", str(scenario),
+                    "--method", "centering", "--out", str(tmp_path / "plan.json"))
+        else:
+            argv = ("experiment", "--n", "20", "--nd", "9", "--trials", "1",
+                    "--methods", "centering", "--seed", "5", "--out-dir", str(tmp_path / "r"))
+        monkeypatch.setattr(planner, "verify_plan", lambda plan, comm_range: False)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal error: centering produced a disconnected plan" in err
+        assert "Traceback" not in err
+
 
 class TestExperiment:
     def test_centering_sweep(self, tmp_path):
@@ -295,7 +316,10 @@ class TestMalformedInput:
         ("n", True, "topology file field 'n' must be a JSON integer"),
         ("positions", [[1e308, 0.0]] * 8 + [[-1e308, 0.0]] * 8,
          "positions are too large: their centroid would overflow"),
-    ], ids=["positions-null", "d_tr_m-null", "n-bool", "positions-centroid-overflow"])
+        ("positions", [[1e200, 0.0]] * 8 + [[-1e200, 1.0]] * 8,
+         "positions are too far apart: their squared distances would overflow"),
+    ], ids=["positions-null", "d_tr_m-null", "n-bool", "positions-centroid-overflow",
+            "positions-distance-overflow"])
     def test_damage_on_topology_with_a_mistyped_field(self, tmp_path, capsys, field, value,
                                                       message):
         topo = tmp_path / "topo.json"
@@ -318,8 +342,13 @@ class TestMalformedInput:
         ({"version": 1, "summary": 5}, "results file field 'summary' must be a JSON list"),
         ({"summary": [{"method": "centering", "n": 20, "n_d": 9, "R_c": "high",
                        "mean_T": 1, "std_T": None, "mean_deg": 1, "max_deg": 1}]},
-         "results summary row field 'R_c' must be a JSON number or null"),
-    ], ids=["summary-int", "row-metric-string"])
+         "results summary row field 'R_c' must be a JSON finite number or null"),
+        *(({"summary": [{"method": "centering", "n": 20, "n_d": 9, "R_c": value,
+                         "mean_T": 1, "std_T": None, "mean_deg": 1, "max_deg": 1}]},
+           "results summary row field 'R_c' must be a JSON finite number or null")
+          for value in (float("nan"), float("inf"), float("-inf"), 10**400)),
+    ], ids=["summary-int", "row-metric-string", "row-metric-nan", "row-metric-inf",
+            "row-metric-minus-inf", "row-metric-integer-beyond-float"])
     def test_report_rejects_a_mistyped_results_file(self, tmp_path, capsys, payload, message):
         results = tmp_path / "results.json"
         results.write_text(json.dumps(payload))

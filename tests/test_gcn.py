@@ -17,11 +17,12 @@ from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
                            normalize_features, per_branch_metrics, pretrain,
                            reported_loss, save_model, solve, upscale_features,
                            write_loss_curve, BranchMetrics)
-from resilinet.swarm import (SwarmTopology, build_adjacency, count_subnets, diameter_hops,
-                             generate_swarm)
+from resilinet.swarm import (SwarmTopology, build_adjacency, component_labels, count_subnets,
+                             diameter_hops, generate_swarm)
 
-from _oracles import (boolean_power_reachability, dense_forward_reference,
-                      dense_hadamard_damage_graph, functional_adam_step)
+from _oracles import (boolean_power_reachability, component_pair_gap_gradient,
+                      dense_forward_reference, dense_hadamard_damage_graph,
+                      functional_adam_step)
 from test_damage import damage_cases
 
 TINY = Hyperparams(hidden_dim=8, blocks=1, dropout=0.0, online_iters=30,
@@ -315,6 +316,65 @@ class TestReportedLoss:
             counts = rng.integers(1, 6, size=4)
             metrics = BranchMetrics(times, counts)
             assert reported_loss(metrics, 100.0) >= times.sum() - 1e-12
+
+
+@st.composite
+def gap_cases(draw):
+    """Candidate targets from a drawn seed: numpy's floats, so no two joins tie.
+
+    Some rows are copied onto others, so coincident nodes (an isolated
+    coincident pair among them) occur.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 60))
+    comm_range = draw(st.floats(5.0, 50.0))
+    side = 40.0 * np.sqrt(m)
+    if draw(st.sampled_from(("uniform", "clustered"))) == "uniform":
+        targets = rng.uniform(0.0, side, size=(m, 2))
+    else:
+        centers = rng.uniform(0.0, side, size=(rng.integers(1, 6), 2))
+        targets = centers[rng.integers(0, len(centers), size=m)] + rng.normal(
+            0.0, comm_range, size=(m, 2))
+    copies = draw(st.integers(0, min(3, m - 1)))
+    targets[rng.choice(m, copies, replace=False)] = targets[rng.integers(0, m, copies)]
+    return targets, comm_range, rng.normal(size=(m, 2))
+
+
+class TestGapSurrogate:
+    @staticmethod
+    def both(targets, comm_range, grad_in, gap_penalty=0.3):
+        n_comp, labels = component_labels(build_adjacency(targets, comm_range))
+        grads = grad_in.copy(), grad_in.copy()
+        values = [f(targets, n_comp, labels, comm_range, gap_penalty, g) for f, g in
+                  zip((gcn._component_gap_gradient, component_pair_gap_gradient), grads)]
+        return values, grads
+
+    @settings(max_examples=150, deadline=None)
+    @given(gap_cases())
+    def test_equals_the_component_pair_oracle_bit_for_bit(self, case):
+        (new, old), (grad_new, grad_old) = self.both(*case)
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
+        assert grad_new.tobytes() == grad_old.tobytes()
+
+    def test_a_link_is_never_a_join_at_a_subnormal_range(self):
+        # comm_range**2 is subnormal here and its square root exceeds
+        # comm_range, so the link (0, 1) has a positive gap; only the join
+        # test keeps it out.  Every weight is also below 1e-8.
+        comm_range = 8e-162
+        targets = np.array([[0.0, 0.0], [comm_range, 0.0], [5 * comm_range, 0.0]])
+        (new, old), (grad_new, grad_old) = self.both(targets, comm_range, np.zeros((3, 2)))
+        assert old > 0.0
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
+        assert grad_new.tobytes() == grad_old.tobytes()
+
+    def test_equally_long_joins_give_the_oracle_surrogate(self):
+        # On an integer grid many joins are equally long.  Here the two trees
+        # pick different pairs and their sums differ in the last bit; the
+        # multiset of the lengths is unique.
+        targets = np.random.default_rng(6).integers(0, 12, size=(40, 2)).astype(float)
+        (new, old), _ = self.both(targets, 1.0, np.zeros((40, 2)))
+        assert old > 0.0
+        assert new == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
 class TestAdam:
