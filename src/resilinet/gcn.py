@@ -32,10 +32,17 @@ from .swarm import (SwarmTopology, _pairwise_sq_distances, build_adjacency, comp
                     write_csv, write_payload)
 
 MODEL_VERSION = 1
-# Elements per slice of the in-place Adam update: the slice of the weight,
+# The online solver runs the network in float32, about twice float64's GEMM
+# and sparse-product rate.  Its output is cast up to float64, so scoring,
+# selection and every feasibility test stay float64, and model files and
+# pretraining stay float64.
+NETWORK_DTYPE = np.float32
+# Bytes per slice of the in-place Adam update: the slice of the weight,
 # gradient and both moments plus two scratch slices (6 x 256 KiB) stay in a
-# 2 MiB L2 cache across the update's fourteen element-wise passes.
-ADAM_SLICE = 32768
+# 2 MiB L2 cache across the update's fourteen element-wise passes.  At
+# d = 512 on an x86_64 core with 2 MiB of L2, 256 KiB was the fastest of 128,
+# 256 and 512 KiB slices in float64 (32768 elements) and float32 (65536).
+ADAM_SLICE_BYTES = 262144
 
 
 class TrainingDivergence(RuntimeError):
@@ -213,6 +220,10 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
             prefix: ForwardTrace | None = None) -> tuple[np.ndarray, ForwardTrace]:
     """Run the network on the batch; returns (output positions, trace).
 
+    Computes in the dtype of the weights, which the kernel should share: the
+    tiled input rows and the dropout mask (drawn as float64) are cast to it.
+    The output positions are float64.
+
     Dropout is applied between residual blocks in train mode only (masks are
     recorded in the trace); eval mode is fully deterministic.  Raises
     TrainingDivergence if the output stops being finite.
@@ -228,8 +239,9 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
         raise ValueError("train-mode forward with dropout needs an rng")
 
     x_rows, center, scale = normalize_features(seq.batch_features[:seq.n])
+    dtype = mats[0].dtype
     if prefix is None:
-        first_mid = kernel @ np.tile(x_rows, (seq.branches, 1))
+        first_mid = kernel @ np.tile(x_rows, (seq.branches, 1)).astype(dtype, copy=False)
         first_act = np.maximum(first_mid @ mats[0], 0.0)
         x = first_act
         block_traces = []
@@ -241,7 +253,7 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
     for l in range(len(block_traces), weights.blocks):
         if train and config.dropout > 0.0 and l > 0:
             keep = 1.0 - config.dropout
-            mask = (rng.random(x.shape) >= config.dropout) / keep
+            mask = ((rng.random(x.shape) >= config.dropout) / keep).astype(dtype, copy=False)
             dropped = x * mask
         else:
             mask = None
@@ -287,10 +299,10 @@ class BackwardBuffers:
 
     @classmethod
     def for_batch(cls, weights: ModelWeights, rows: int) -> "BackwardBuffers":
-        """Gradients shaped like the weights, and (rows, d) float, float and bool scratch."""
-        shape = (rows, weights.hidden_dim)
+        """Gradients like the weights, and (rows, d) scratch in their dtype and in bool."""
+        shape, dtype = (rows, weights.hidden_dim), weights.matrices[0].dtype
         return cls(grads=tuple(np.empty_like(m) for m in weights.matrices),
-                   first=np.empty(shape), product=np.empty(shape),
+                   first=np.empty(shape, dtype), product=np.empty(shape, dtype),
                    active=np.empty(shape, dtype=bool))
 
 
@@ -299,16 +311,17 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
              buffers: BackwardBuffers | None = None) -> list[np.ndarray]:
     """Reverse-mode gradients of every weight matrix given d(loss)/d(output).
 
-    The kernel is symmetric, so its transpose in the chain is itself.  The
-    gradients are the arrays of ``buffers`` (a fresh set when None), which
-    the next call with the same buffers overwrites.
+    The kernel is symmetric, so its transpose in the chain is itself.  It
+    computes in the weights' dtype: the float64 output gradient is cast to it
+    after the tanh step.  The gradients are the arrays of ``buffers`` (a fresh
+    set when None), which the next call with the same buffers overwrites.
     """
     mats = weights.matrices
     if buffers is None:
         buffers = BackwardBuffers.for_batch(weights, trace.first_act.shape[0])
     grads, active = buffers.grads, buffers.active
     g_final = grad_output * (trace.scale + 1.0)
-    g_zq = g_final * (1.0 - trace.final_act ** 2)
+    g_zq = (g_final * (1.0 - trace.final_act ** 2)).astype(mats[-1].dtype, copy=False)
     np.matmul(trace.final_mid.T, g_zq, out=grads[-1])
 
     g_x = kernel @ np.matmul(g_zq, mats[-1].T, out=buffers.product)
@@ -497,19 +510,21 @@ def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in that order, so the result is
     bit-identical to the out-of-place form.  Each matrix is updated in row
-    slices of about ``ADAM_SLICE`` elements with two scratch buffers
-    allocated once per call.
+    slices of about ``ADAM_SLICE_BYTES`` with two scratch buffers allocated
+    once per call, all in the weights' dtype.
     """
     t = state.step + 1
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1, c2, lr = 1.0 - b1 ** t, 1.0 - b2 ** t, config.learning_rate
-    # A row wider than ADAM_SLICE is a slice of its own.
-    width = max(ADAM_SLICE, *(w.shape[1] for w in weights.matrices))
-    buf_a, buf_b = np.empty(width), np.empty(width)
+    dtype = weights.matrices[0].dtype
+    slice_len = ADAM_SLICE_BYTES // dtype.itemsize
+    # A row wider than a slice is a slice of its own.
+    width = max(slice_len, *(w.shape[1] for w in weights.matrices))
+    buf_a, buf_b = np.empty(width, dtype), np.empty(width, dtype)
     for w_all, g_all, m_all, v_all in zip(weights.matrices, grads, state.first_moment,
                                           state.second_moment):
         rows, cols = w_all.shape
-        step = max(1, ADAM_SLICE // cols)
+        step = max(1, slice_len // cols)
         for lo in range(0, rows, step):
             hi = min(rows, lo + step)
             w, g, m, v = w_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
@@ -575,7 +590,9 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     """Train fresh weights on one random half-damage split scenario.
 
     Derives topology/damage/init/dropout seeds from the master seed, so the
-    whole run (and the persisted file) is reproducible bit for bit.
+    whole run (and the persisted file) is reproducible bit for bit.  It
+    trains in float64: in the acceptance replay at pretrain seeds 42-44, a
+    float32 pretrain planned 0.22-0.36 s slower mean recovery at every seed.
     """
     config = config or Hyperparams()
     topo_seed, damage_seed, init_seed, dropout_seed = (
@@ -649,14 +666,15 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
           config: Hyperparams | None = None, seed: int = 0) -> SolutionSet:
     """Online-iterate from pretrained weights and keep the best per branch.
 
-    The pretrained weights are never mutated: Adam updates a copy made once
-    per call.  After each train-mode step, an eval-mode forward scores every
-    branch; the best feasible candidate per branch over all iterations is
-    retained.  That eval trace is the next train forward's ``prefix``.
-    Runs exactly ``config.online_iters`` iterations, or none when the
-    survivors start connected.  An entirely infeasible run is a value, not
-    an error: every time is ``inf``.  The search chooses no branch;
-    ``planner.plan_learned`` does.
+    The pretrained weights are never mutated: Adam updates a float32 copy
+    made once per call, and the network runs on a float32 copy of the kernel.
+    After each train-mode step, an eval-mode forward scores every branch; the
+    best feasible candidate per branch over all iterations is retained.  That
+    eval trace is the next train forward's ``prefix``.  Runs exactly
+    ``config.online_iters`` iterations, or none when the survivors start
+    connected.  An entirely infeasible run is a value, not an error: every
+    time is ``inf``.  The search chooses no branch; ``planner.plan_learned``
+    does.
     """
     config = config or Hyperparams()
     n, n_r = seq.n, seq.n_remaining
@@ -668,7 +686,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
         return SolutionSet(branch_targets=identity, flight_times=np.zeros(branches),
                            iterations=0)
 
-    weights = replace(weights, matrices=tuple(m.copy() for m in weights.matrices))
+    weights = replace(weights, matrices=tuple(m.astype(NETWORK_DTYPE) for m in weights.matrices))
+    kernel = kernel.astype(NETWORK_DTYPE)
     state = AdamState.zeros(weights)
     buffers = BackwardBuffers.for_batch(weights, seq.batch_features.shape[0])
     rng = np.random.default_rng(seed)
@@ -714,8 +733,9 @@ def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
 
 
 def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
-    payload = read_payload(path, "model", MODEL_VERSION, {"d_s": "integer", "L": "integer",
-                                                          "shapes": "list", "weights": "list"})
+    payload = read_payload(path, "model", MODEL_VERSION, {
+        "d_s": "integer", "L": "integer", "shapes": "list", "weights": "list",
+        "dtype": ("float64",), "byte_order": ("little",)})
     for field in ("d_s", "L"):
         if payload[field] < 1:
             raise ValueError(f"model file field '{field}' must be at least 1")

@@ -260,16 +260,24 @@ def _list_of(element):
     return lambda value: isinstance(value, list) and all(map(element, value))
 
 
-_NUMBER = _is(int, float)
+def _within(types, limit):
+    # JSON integers are unbounded; one beyond ``limit`` overflows its numpy dtype.
+    is_type = _is(*types)
+    return lambda value: is_type(value) and (type(value) is not int or abs(value) <= limit)
+
+
+# A number fits a float64 and an integer an int64.
+_NUMBER = _within((int, float), sys.float_info.max)
+_INTEGER = _within((int,), np.iinfo(np.int64).max)
 _NUMBER_LIST = _list_of(_NUMBER)
 # Each JSON type name maps to the test a parsed value must pass.
 _JSON_TYPES = {
-    "list": _is(list), "integer": _is(int), "number": _NUMBER, "string": _is(str),
-    # NaN, the infinities and an integer too large for a float all fail it.
+    "list": _is(list), "integer": _INTEGER, "number": _NUMBER, "string": _is(str),
+    # NaN and the infinities fail it too.
     "finite number or null":
         lambda value: value is None or _NUMBER(value) and abs(value) <= sys.float_info.max,
-    "positive integer or null": lambda value: value is None or _is(int)(value) and value > 0,
-    "list of integers": _list_of(_is(int)),
+    "positive integer or null": lambda value: value is None or _INTEGER(value) and value > 0,
+    "list of integers": _list_of(_INTEGER),
     "list of number pairs": _list_of(lambda pair: _NUMBER_LIST(pair) and len(pair) == 2),
 }
 

@@ -318,8 +318,10 @@ class TestMalformedInput:
          "positions are too large: their centroid would overflow"),
         ("positions", [[1e200, 0.0]] * 8 + [[-1e200, 1.0]] * 8,
          "positions are too far apart: their squared distances would overflow"),
+        ("positions", [[10**400, 0.0]] + [[0.0, 0.0]] * 15,
+         "topology file field 'positions' must be a JSON list of number pairs"),
     ], ids=["positions-null", "d_tr_m-null", "n-bool", "positions-centroid-overflow",
-            "positions-distance-overflow"])
+            "positions-distance-overflow", "positions-integer-beyond-float"])
     def test_damage_on_topology_with_a_mistyped_field(self, tmp_path, capsys, field, value,
                                                       message):
         topo = tmp_path / "topo.json"
@@ -409,8 +411,10 @@ class TestMalformedInput:
         assert f"{kind} file {files[kind]} is not valid JSON: Expecting property name" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("destroyed", [[None], [1.5, 3], [True, 3], ["2"], [[1, 2], [3, 4]]],
-                             ids=["null", "fraction", "bool", "string", "nested"])
+    @pytest.mark.parametrize("destroyed", [[None], [1.5, 3], [True, 3], ["2"], [[1, 2], [3, 4]],
+                                           [10**30, 3]],
+                             ids=["null", "fraction", "bool", "string", "nested",
+                                  "beyond-int64"])
     def test_scenario_with_a_bad_element(self, tmp_path, capsys, destroyed):
         files = self._inputs(tmp_path)
         files["scenario"].write_text(json.dumps({"version": 1, "topology_ref": "",

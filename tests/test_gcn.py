@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from resilinet import gcn
 from resilinet.damage import DamageScenario, apply_damage, build_input_graph
 from resilinet.damage_graphs import build_graph_sequence, choose_branch_count
+from resilinet.planner import plan_learned
 from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
                            backward, build_kernel, forward,
                            kernel_flow, load_model, loss_head,
@@ -433,12 +434,13 @@ class TestAdam:
                                                       steps, lr, seed):
         # Slices of 1-50 elements split the matrices into full slices plus a
         # ragged remainder, or into single rows wider than a slice.
-        with mock.patch.object(gcn, "ADAM_SLICE", slice_len):
+        with mock.patch.object(gcn, "ADAM_SLICE_BYTES", 8 * slice_len):
             self._compare_with_functional(hidden, blocks, steps, lr, seed)
 
     def test_in_place_steps_equal_the_functional_form_at_the_slice_length(self):
-        # 200 x 200 is one full slice of 163 rows plus 37 rows.
-        assert (200 * 200) % gcn.ADAM_SLICE and 200 * 200 > gcn.ADAM_SLICE
+        # 200 x 200 float64 is one full slice of 163 rows plus 37 rows.
+        slice_len = gcn.ADAM_SLICE_BYTES // 8
+        assert (200 * 200) % slice_len and 200 * 200 > slice_len
         self._compare_with_functional(200, 1, 3, 1e-3, 11)
 
     @staticmethod
@@ -572,6 +574,54 @@ class TestBackwardBasics:
             assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
 
+def _as_dtype(weights, dtype):
+    return ModelWeights(tuple(m.astype(dtype) for m in weights.matrices),
+                        weights.hidden_dim, weights.blocks)
+
+
+class TestNetworkDtype:
+    """The network computes in its weights' dtype; its output is float64."""
+
+    CONFIG = Hyperparams(hidden_dim=8, blocks=2, dropout=0.3)
+    WEIGHTS = ModelWeights.init_scaled_uniform(8, 2, seed=4)
+
+    def _step(self, dtype, weights=WEIGHTS, grad_output=None):
+        """Train forward and backward in ``dtype``; the loss head's gradient if none is given."""
+        topo, _, graph_in, seq = small_case(33, n=16, n_d=7)
+        weights = _as_dtype(weights, dtype)
+        kernel = build_kernel(seq).astype(dtype)
+        out, trace = forward(weights, seq, kernel, self.CONFIG, train=True,
+                             rng=np.random.default_rng(6))
+        if grad_output is None:
+            grad_output = loss_head(out, seq.n, seq.n_remaining,
+                                    graph_in.features[:seq.n_remaining], 10.0,
+                                    topo.comm_range, 100.0, 100.0 / topo.comm_range).grad_output
+        grads = [g.copy() for g in backward(trace, weights, kernel, grad_output)]
+        return weights, out, trace, grad_output, grads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_set_the_dtype_of_every_array_but_the_output(self, dtype):
+        weights, out, trace, _, grads = self._step(dtype)
+        assert out.dtype == np.float64
+        assert trace.block_traces[1].dropout_mask.dtype == dtype
+        assert {a.dtype for a in (trace.first_mid, trace.first_act, trace.final_mid,
+                                  trace.final_act)} == {np.dtype(dtype)}
+        assert {g.dtype for g in grads} == {np.dtype(dtype)}
+        updated, state = adam_step(weights, grads, AdamState.zeros(weights), self.CONFIG)
+        for array in (*updated.matrices, *state.first_moment, *state.second_moment):
+            assert array.dtype == dtype
+
+    def test_float32_agrees_with_float64_on_the_same_weights(self):
+        # float32-representable weights, so both runs start from equal values;
+        # both backward passes take the float64 run's output gradient.
+        same = _as_dtype(self.WEIGHTS, np.float32)
+        _, _, trace64, grad_output, grads64 = self._step(np.float64, same)
+        _, _, trace32, _, grads32 = self._step(np.float32, same, grad_output)
+        assert np.abs(trace32.final_act - trace64.final_act).max() < 1e-4
+        for g32, g64 in zip(grads32, grads64):
+            assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
+
+
 class TestSolve:
     def test_already_connected_returns_zero_motion(self):
         topo = generate_swarm(12, 200.0, 120.0, seed=30)
@@ -654,6 +704,17 @@ class TestPretrain:
         result = pretrain(16, 200.0, 120.0, seed=5, config=config)
         assert result.curve[-1].reported_loss < result.curve[0].reported_loss
 
+    def test_a_saved_model_plans_like_the_pretrained_weights(self, tmp_path):
+        config = Hyperparams(hidden_dim=8, blocks=2, pretrain_iters=5, online_iters=20)
+        result = pretrain(16, 200.0, 120.0, seed=9, config=config)
+        save_model(tmp_path / "model.json", result.weights, init_seed=9)
+        loaded, _ = load_model(tmp_path / "model.json")
+        topo, scenario, _, _ = small_case(33, n=16, n_d=7)
+        direct = plan_learned(topo, scenario, result.weights, config, seed=2)
+        from_file = plan_learned(topo, scenario, loaded, config, seed=2)
+        assert direct.method == "ml-dagl"
+        assert from_file.targets.tobytes() == direct.targets.tobytes()
+
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(model_cases())
@@ -670,7 +731,7 @@ class TestPretrain:
         for a, b in zip(weights.matrices, loaded.matrices):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("field", ["d_s", "L", "shapes", "weights"])
+    @pytest.mark.parametrize("field", ["d_s", "L", "shapes", "weights", "dtype", "byte_order"])
     def test_model_file_rejects_missing_field(self, tmp_path, field):
         path = tmp_path / "model.json"
         save_model(path, ModelWeights.init_scaled_uniform(4, 1, seed=0), init_seed=0)
@@ -702,6 +763,16 @@ class TestPretrain:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"model file {message}".replace("[", r"\[")
                            .replace("]", r"\]")):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("dtype", "float32"), ("byte_order", "big")])
+    def test_model_file_rejects_another_encoding(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model(path, ModelWeights.init_scaled_uniform(4, 1, seed=0), init_seed=0)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"model file field '{field}' must be one of"):
             load_model(path)
 
     @pytest.mark.parametrize("hidden_dim, blocks, field", [(8, 0, "L"), (0, 0, "d_s")])
