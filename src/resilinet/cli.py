@@ -23,10 +23,10 @@ from .gcn import (Hyperparams, TrainingDivergence, load_model, pretrain,
                   save_model, write_loss_curve)
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, load_plan,
                       plan_recovery, save_plan)
-from .simulate import (ExperimentSpec, export_results, run_experiment,
-                       simulate_recovery, write_summary_csv)
-from .swarm import (GenerationError, generate_swarm, load_topology, read_json,
-                    require_fields, save_topology, write_csv, write_payload)
+from .simulate import (RESULTS_FIELDS, RESULTS_VERSION, ExperimentSpec, export_results,
+                       run_experiment, simulate_recovery, write_summary_csv)
+from .swarm import (GenerationError, generate_swarm, load_topology, read_json, read_payload,
+                    require_known_fields, save_topology, write_csv, write_payload)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,36 +34,23 @@ EXIT_GENERATION = 3
 EXIT_DIVERGENCE = 4
 EXIT_INTERNAL = 5
 
-DEFAULTS = {
-    "n": 200,
-    "density": 200.0,
-    "comm_range": 120.0,
-    "max_speed": 10.0,
-    "step_s": 0.1,
-    "seed": 0,
-}
-# The config file's "hyper" object; max_speed is a top-level option.
-HYPER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Hyperparams)
-                  if f.name != "max_speed"}
+DEFAULTS = {"n": 200, "density": 200.0, "comm_range": 120.0, "max_speed": 10.0, "step_s": 0.1,
+            "seed": 0}
+# A config file's fields: each option has the JSON type of its default, and
+# "hyper" holds the Hyperparams fields but max_speed, a top-level option.
+_JSON_TYPE_OF = {int: "integer", float: "number"}
+CONFIG_FIELDS = {**{key: _JSON_TYPE_OF[type(default)] for key, default in DEFAULTS.items()},
+                 "hyper": "object"}
+HYPER_FIELDS = {f.name: _JSON_TYPE_OF[type(f.default)] for f in dataclasses.fields(Hyperparams)
+                if f.name != "max_speed"}
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     payload = read_json(path, "config")
-    require_fields(payload, "config file", {})
-    hyper = payload.get("hyper", {})
-    if not isinstance(hyper, dict):
-        raise ValueError("config key 'hyper' must be a JSON object")
-    for key in hyper:
-        if key not in HYPER_DEFAULTS:
-            raise ValueError(f"unknown config key 'hyper.{key}' "
-                              f"(known: {', '.join(sorted(HYPER_DEFAULTS))})")
-    # Every numeric option must have the JSON type of its default.
-    kinds = {key: "integer" if isinstance(default, int) else "number"
-             for key, default in {**DEFAULTS, **HYPER_DEFAULTS}.items()}
-    require_fields(payload, "config file", {k: kinds[k] for k in DEFAULTS if k in payload})
-    require_fields(hyper, "config key 'hyper'", {k: kinds[k] for k in hyper})
+    require_known_fields(payload, "config file", CONFIG_FIELDS)
+    require_known_fields(payload.get("hyper", {}), "config file field 'hyper'", HYPER_FIELDS)
     return payload
 
 
@@ -84,14 +71,14 @@ def _options(args: argparse.Namespace) -> tuple[dict, Hyperparams]:
             value = int(os.environ["RESILINET_SEED"])
         options[key] = type(default)(default if value is None else value)
     hyper = dict(config.get("hyper", {}))
-    hyper.update((key, getattr(args, key)) for key in HYPER_DEFAULTS
+    hyper.update((key, getattr(args, key)) for key in HYPER_FIELDS
                  if getattr(args, key, None) is not None)
     return options, Hyperparams(max_speed=options["max_speed"], **hyper)
 
 
 # Each option flag and each flag that several commands take, declared once:
 # its name and ``add_argument`` keywords.  A flag's dest is its option key
-# (``DEFAULTS``, ``HYPER_DEFAULTS``) or the attribute its ``cmd_*`` reads.
+# (``DEFAULTS``, ``HYPER_FIELDS``) or the attribute its ``cmd_*`` reads.
 FLAGS = {
     "--config": dict(help="JSON config file (flags override it)"),
     "--seed": dict(type=int, help="master seed (or RESILINET_SEED)"),
@@ -180,6 +167,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
     max_speed, step_s = opts["max_speed"], opts["step_s"]
     t_max = args.t_max if args.t_max is not None else topology.side / (2 * max_speed)
+    if len(plan.targets) != scenario.n_remaining:
+        raise ValueError(f"plan file field 'targets' has {len(plan.targets)} rows, but the "
+                         f"scenario leaves {scenario.n_remaining} survivors")
     start = topology.positions[scenario.remaining]
     sim = simulate_recovery(start, plan, max_speed, step_s, topology.comm_range, t_max)
     write_payload(args.out, {
@@ -225,8 +215,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = read_json(args.results, "results")
-    require_fields(payload, "results file", {"summary": "list"})
+    payload = read_payload(args.results, "results", RESULTS_VERSION, RESULTS_FIELDS)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(out / "summary.csv", payload["summary"])

@@ -15,6 +15,7 @@ import numpy as np
 from .swarm import SwarmTopology, count_subnets, hop_distances, read_payload, write_payload
 
 SCENARIO_VERSION = 1
+SCENARIO_FIELDS = {"destroyed": "list of integers"}
 
 
 class DamageError(RuntimeError):
@@ -90,7 +91,7 @@ def apply_damage(topology: SwarmTopology, n_destroyed: int, seed: int,
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         destroyed = np.sort(rng.choice(n, size=n_destroyed, replace=False))
-        remaining = np.setdiff1d(all_indices, destroyed, assume_unique=True)
+        remaining = np.setdiff1d(all_indices, destroyed, assume_unique=False)
         scenario = DamageScenario(destroyed=destroyed, remaining=remaining)
         if not require_split or count_subnets(remaining_adjacency(topology, scenario)) >= 2:
             return scenario
@@ -130,9 +131,12 @@ def save_scenario(path: str | Path, scenario: DamageScenario, topology_ref: str 
 
 
 def load_scenario(path: str | Path, n: int) -> DamageScenario:
-    payload = read_payload(path, "scenario", SCENARIO_VERSION, {"destroyed": "list of integers"})
+    payload = read_payload(path, "scenario", SCENARIO_VERSION, SCENARIO_FIELDS)
     destroyed = np.asarray(payload["destroyed"], dtype=int) - 1
     if destroyed.size and (destroyed.min() < 0 or destroyed.max() >= n):
-        raise ValueError("scenario file indices out of range for this topology")
+        raise ValueError(f"scenario file field 'destroyed' holds an index outside 1..{n}")
+    if (distinct := np.unique(destroyed).size) != destroyed.size:
+        raise ValueError(f"scenario file field 'destroyed' repeats an index: "
+                         f"{destroyed.size} entries, {distinct} distinct")
     remaining = np.setdiff1d(np.arange(n), destroyed, assume_unique=False)
     return DamageScenario(destroyed=destroyed, remaining=remaining)

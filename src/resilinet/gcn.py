@@ -32,6 +32,9 @@ from .swarm import (SwarmTopology, _pairwise_sq_distances, build_adjacency, comp
                     write_csv, write_payload)
 
 MODEL_VERSION = 1
+MODEL_FIELDS = {"d_s": "positive integer", "L": "positive integer",
+                "shapes": "list of integer pairs", "weights": "list of strings",
+                "dtype": ("float64",), "byte_order": ("little",)}
 # The online solver runs the network in float32, about twice float64's GEMM
 # and sparse-product rate.  Its output is cast up to float64, so scoring,
 # selection and every feasibility test stay float64, and model files and
@@ -733,18 +736,13 @@ def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
 
 
 def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
-    payload = read_payload(path, "model", MODEL_VERSION, {
-        "d_s": "integer", "L": "integer", "shapes": "list", "weights": "list",
-        "dtype": ("float64",), "byte_order": ("little",)})
-    for field in ("d_s", "L"):
-        if payload[field] < 1:
-            raise ValueError(f"model file field '{field}' must be at least 1")
-    shapes, blobs = payload["shapes"], payload["weights"]
-    if not all(isinstance(s, list) and len(s) == 2
-               and all(type(d) is int and d >= 0 for d in s) for s in shapes):
-        raise ValueError("model file field 'shapes' must list pairs of non-negative integers")
-    if not all(isinstance(b, str) for b in blobs):
-        raise ValueError("model file field 'weights' must list base64 strings")
+    payload = read_payload(path, "model", MODEL_VERSION, MODEL_FIELDS)
+    hidden_dim, blocks, shapes, blobs = (payload[k] for k in ("d_s", "L", "shapes", "weights"))
+    # The count first, so a huge L never builds its list of expected shapes.
+    if (len(shapes) != 2 * blocks + 2
+            or tuple(map(tuple, shapes)) != ModelWeights.expected_shapes(hidden_dim, blocks)):
+        raise ValueError(f"model file field 'shapes' does not match d_s={hidden_dim} and "
+                         f"L={blocks}: it must list [2, d_s], 2L times [d_s, d_s], [d_s, 2]")
     if len(shapes) != len(blobs):
         raise ValueError("model file fields 'shapes' and 'weights' differ in length")
     mats = []
@@ -757,10 +755,7 @@ def load_model(path: str | Path) -> tuple[ModelWeights, dict]:
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"model file field 'weights' entry {i} is not finite")
         mats.append(mat.astype(float))
-    weights = ModelWeights(
-        matrices=tuple(mats), hidden_dim=payload["d_s"], blocks=payload["L"]
-    )
-    return weights, payload.get("metadata", {})
+    return ModelWeights(tuple(mats), hidden_dim, blocks), payload.get("metadata", {})
 
 
 def write_loss_curve(path: str | Path, curve: tuple[CurvePoint, ...]) -> None:

@@ -10,7 +10,6 @@ downstream simulation always recovers.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,6 +26,9 @@ METHOD_CENTERING = "centering"
 METHOD_FALLBACK = "fallback-centroid"
 # The methods a caller may ask for; a learned plan may come back as a fallback.
 PLAN_METHODS = (METHOD_LEARNED, METHOD_CENTERING)
+PLAN_FIELDS = {"method": (*PLAN_METHODS, METHOD_FALLBACK), "k_star": "positive integer or null",
+               "targets": "non-empty list of finite number pairs",
+               "planned_T_rc_s": "finite non-negative number"}
 
 
 @dataclass(frozen=True)
@@ -109,19 +111,6 @@ def save_plan(path: str | Path, plan: RecoveryPlan, scenario_ref: str = "") -> N
 
 
 def load_plan(path: str | Path) -> RecoveryPlan:
-    payload = read_payload(path, "plan", PLAN_VERSION,
-                           {"method": (*PLAN_METHODS, METHOD_FALLBACK),
-                            "k_star": "positive integer or null",
-                            "targets": "list of number pairs", "planned_T_rc_s": "number"})
-    targets = np.asarray(payload["targets"], dtype=float)
-    if targets.ndim != 2 or targets.shape[1] != 2 or not np.all(np.isfinite(targets)):
-        raise ValueError("plan file field 'targets' must be a finite (m, 2) array")
-    planned = float(payload["planned_T_rc_s"])
-    if not 0 <= planned < math.inf:
-        raise ValueError("plan file field 'planned_T_rc_s' must be finite and non-negative")
-    return RecoveryPlan(
-        targets=targets,
-        planned_time=planned,
-        method=payload["method"],
-        k_star=payload["k_star"],
-    )
+    payload = read_payload(path, "plan", PLAN_VERSION, PLAN_FIELDS)
+    return RecoveryPlan(np.asarray(payload["targets"], dtype=float),
+                        float(payload["planned_T_rc_s"]), payload["method"], payload["k_star"])

@@ -28,7 +28,7 @@ from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, RecoveryPl
                       plan_recovery)
 from .swarm import (DegreeStats, GenerationError, _csr_graph, _pairs_in_range,
                     build_adjacency, check_swarm_params, component_labels, degree_cdf,
-                    degree_stats, generate_swarm, require_fields, write_csv, write_payload)
+                    degree_stats, generate_swarm, write_csv, write_payload)
 
 RESULTS_VERSION = 1
 # The most steps a flight may take; real flights take hundreds to a few
@@ -42,8 +42,9 @@ TRIAL_COLUMNS = [
 SUMMARY_COLUMNS = [
     "method", "n", "n_d", "R_c", "mean_T", "std_T", "mean_deg", "max_deg",
 ]
-_SUMMARY_FIELDS = {"method": "string", "n": "number", "n_d": "number",
-                  **{c: "finite number or null" for c in SUMMARY_COLUMNS[3:]}}
+# A results file's table: each summary row holds every summary column.
+RESULTS_FIELDS = {"summary": [{"method": "string", "n": "number", "n_d": "number",
+                               **{c: "finite number or null" for c in SUMMARY_COLUMNS[3:]}}]}
 
 
 @dataclass(frozen=True)
@@ -403,13 +404,11 @@ def results_to_dict(results: ExperimentResults) -> dict:
 
 
 def write_summary_csv(path: str | Path, summary_rows: list[dict]) -> None:
-    """Summary CSV from the ``results_to_dict(...)["summary"]`` rows.
+    """Summary CSV from summary rows; an integer metric is written as a float.
 
-    Every row is checked for all ``SUMMARY_COLUMNS`` and their JSON types
-    before the file is opened; an integer metric is written as a float.
+    The rows are ``results_to_dict``'s, or those of a results file read
+    against ``RESULTS_FIELDS``, so every column is present and typed.
     """
-    for row in summary_rows:
-        require_fields(row, "results summary row", _SUMMARY_FIELDS)
     write_csv(path, SUMMARY_COLUMNS, [
         [row["method"], row["n"], row["n_d"]]
         + [None if row[key] is None else float(row[key]) for key in SUMMARY_COLUMNS[3:]]

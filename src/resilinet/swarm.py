@@ -21,6 +21,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 TOPOLOGY_VERSION = 1
+TOPOLOGY_FIELDS = {"positions": "list of number pairs", "n": "integer", "d_tr_m": "number",
+                   "side_m": "number"}
 
 
 class GenerationError(RuntimeError):
@@ -251,43 +253,50 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable])
         writer.writerows(map(_csv_cell, row) for row in rows)
 
 
-def _is(*types):
-    # A bool is never a number, although Python counts it as an int.
-    return lambda value: isinstance(value, types) and not isinstance(value, bool)
+# Parsed JSON values have exact types, so a bool (an int subclass) is never a number.
+def _is(json_type):
+    return lambda value: type(value) is json_type
 
 
-def _list_of(element):
-    return lambda value: isinstance(value, list) and all(map(element, value))
+def _list_of(element, size=None):
+    return lambda value: (type(value) is list and size in (None, len(value))
+                          and all(map(element, value)))
 
 
-def _within(types, limit):
-    # JSON integers are unbounded; one beyond ``limit`` overflows its numpy dtype.
-    is_type = _is(*types)
-    return lambda value: is_type(value) and (type(value) is not int or abs(value) <= limit)
+def _within(types, limit, finite=False):
+    # JSON integers are unbounded; one beyond ``limit`` overflows its numpy
+    # dtype.  A finite number is within ``limit`` too, so not NaN or infinite.
+    return lambda value: type(value) in types and (
+        (type(value) is float and not finite) or abs(value) <= limit)
 
 
 # A number fits a float64 and an integer an int64.
 _NUMBER = _within((int, float), sys.float_info.max)
+_FINITE = _within((int, float), sys.float_info.max, finite=True)
 _INTEGER = _within((int,), np.iinfo(np.int64).max)
-_NUMBER_LIST = _list_of(_NUMBER)
+_FINITE_PAIRS = _list_of(_list_of(_FINITE, 2))
 # Each JSON type name maps to the test a parsed value must pass.
 _JSON_TYPES = {
-    "list": _is(list), "integer": _INTEGER, "number": _NUMBER, "string": _is(str),
-    # NaN and the infinities fail it too.
-    "finite number or null":
-        lambda value: value is None or _NUMBER(value) and abs(value) <= sys.float_info.max,
+    "object": _is(dict), "list": _is(list), "string": _is(str),
+    "integer": _INTEGER, "number": _NUMBER,
+    "positive integer": lambda value: _INTEGER(value) and value > 0,
     "positive integer or null": lambda value: value is None or _INTEGER(value) and value > 0,
+    "finite non-negative number": lambda value: _FINITE(value) and value >= 0,
+    "finite number or null": lambda value: value is None or _FINITE(value),
     "list of integers": _list_of(_INTEGER),
-    "list of number pairs": _list_of(lambda pair: _NUMBER_LIST(pair) and len(pair) == 2),
+    "list of strings": _list_of(_is(str)),
+    "list of integer pairs": _list_of(_list_of(_INTEGER, 2)),
+    "list of number pairs": _list_of(_list_of(_NUMBER, 2)),
+    "non-empty list of finite number pairs": lambda value: value != [] and _FINITE_PAIRS(value),
 }
 
 
-def require_fields(payload: object, kind: str,
-                   fields: Mapping[str, str | tuple[str, ...]]) -> None:
+def require_fields(payload: object, kind: str, fields: Mapping) -> None:
     """Raise ValueError naming ``kind`` and the first field missing or mistyped.
 
     ``fields`` maps each required field to its JSON type, a key of
-    ``_JSON_TYPES``, or to the tuple of strings the field may hold.
+    ``_JSON_TYPES``; to the tuple of values the field may hold; or to
+    ``[table]``, a list whose entries are objects with ``table``'s fields.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} must be a JSON object")
@@ -295,12 +304,26 @@ def require_fields(payload: object, kind: str,
         if field not in payload:
             raise ValueError(f"{kind} lacks required field {field!r}")
         value = payload[field]
-        if isinstance(json_type, tuple):
+        if isinstance(json_type, list):
+            require_fields(payload, kind, {field: "list"})
+            for i, entry in enumerate(value):
+                require_fields(entry, f"{kind} field {field!r} entry {i}", json_type[0])
+        elif isinstance(json_type, tuple):
             if value not in json_type:
                 raise ValueError(f"{kind} field {field!r} must be one of "
                                  f"{', '.join(map(repr, json_type))}")
         elif not _JSON_TYPES[json_type](value):
             raise ValueError(f"{kind} field {field!r} must be a JSON {json_type}")
+
+
+def require_known_fields(payload: object, kind: str, fields: Mapping) -> None:
+    """``require_fields`` for an object whose ``fields`` are optional and its only keys."""
+    require_fields(payload, kind, {})
+    unknown = sorted(payload.keys() - fields.keys())
+    if unknown:
+        raise ValueError(f"{kind} has unknown field {unknown[0]!r} "
+                         f"(known: {', '.join(sorted(fields))})")
+    require_fields(payload, kind, {key: fields[key] for key in payload})
 
 
 def read_json(path: str | Path, kind: str) -> object:
@@ -311,8 +334,7 @@ def read_json(path: str | Path, kind: str) -> object:
         raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 
-def read_payload(path: str | Path, kind: str, version: int,
-                 fields: Mapping[str, str]) -> dict:
+def read_payload(path: str | Path, kind: str, version: int, fields: Mapping) -> dict:
     """JSON object of a ``kind`` file with the given version and typed fields."""
     payload = read_json(path, kind)
     require_fields(payload, f"{kind} file", {"version": "number"})
@@ -323,9 +345,7 @@ def read_payload(path: str | Path, kind: str, version: int,
 
 
 def load_topology(path: str | Path) -> SwarmTopology:
-    payload = read_payload(path, "topology", TOPOLOGY_VERSION,
-                           {"positions": "list of number pairs", "n": "integer",
-                            "d_tr_m": "number", "side_m": "number"})
+    payload = read_payload(path, "topology", TOPOLOGY_VERSION, TOPOLOGY_FIELDS)
     positions = np.asarray(payload["positions"], dtype=float)
     if positions.shape[0] != payload["n"]:
         raise ValueError("topology file is inconsistent: n does not match positions")

@@ -5,7 +5,11 @@ import pytest
 
 from resilinet import planner
 from resilinet.cli import (EXIT_CONFIG, EXIT_GENERATION, EXIT_INTERNAL, EXIT_OK, main)
-from resilinet.gcn import ModelWeights, save_model
+from resilinet.gcn import Hyperparams, ModelWeights, pretrain, save_model
+from resilinet.planner import METHOD_CENTERING, METHOD_LEARNED, PLAN_FIELDS
+from resilinet.simulate import (RESULTS_FIELDS, RESULTS_VERSION, ExperimentSpec,
+                                export_results, results_to_dict, run_experiment)
+from resilinet.swarm import TOPOLOGY_FIELDS, read_payload, write_payload
 
 from test_gcn import write_non_finite_model
 
@@ -220,26 +224,34 @@ class TestExperiment:
                    "--out-dir", str(tmp_path / "r")) == EXIT_CONFIG
 
     def test_report_from_results(self, tmp_path):
+        """A centering and ml-dagl results file reads back equal; report re-derives its CSV."""
+        tiny = Hyperparams(hidden_dim=4, blocks=1, pretrain_iters=1, online_iters=2)
+        spec = ExperimentSpec(n=20, damage_sizes=(9,), trials=2, master_seed=5,
+                              methods=(METHOD_CENTERING, METHOD_LEARNED))
+        results = run_experiment(spec, weights=pretrain(20, 200.0, 120.0, 3, tiny).weights,
+                                 config=tiny)
+        payload = results_to_dict(results)
+        results_file = tmp_path / "results.json"
+        write_payload(results_file, payload)
+        assert read_payload(results_file, "results", RESULTS_VERSION, RESULTS_FIELDS) == payload
         out = tmp_path / "results"
-        assert run("experiment", "--n", "20", "--nd", "9", "--trials", "2",
-                   "--methods", "centering", "--seed", "5",
-                   "--out-dir", str(out)) == EXIT_OK
+        export_results(results, out)
         report = tmp_path / "report"
-        assert run("report", "--results", str(out / "results.json"),
-                   "--out-dir", str(report)) == EXIT_OK
+        assert run("report", "--results", str(results_file), "--out-dir", str(report)) == EXIT_OK
         assert (report / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
         with open(report / "trc_vs_nd.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["method", "n_d", "mean_T", "std_T"]
-        assert len(rows) == 2
+        assert [row[0] for row in rows[1:]] == [METHOD_CENTERING, METHOD_LEARNED]
 
     def test_report_rejects_summary_row_missing_a_column(self, tmp_path, capsys):
         results = tmp_path / "results.json"
-        results.write_text(json.dumps({"summary": [{"method": "centering"}]}))
+        results.write_text(json.dumps({"version": 1, "summary": [{"method": "centering"}]}))
         capsys.readouterr()
         assert run("report", "--results", str(results),
                    "--out-dir", str(tmp_path / "report")) == EXIT_CONFIG
-        assert "lacks required field 'n'" in capsys.readouterr().err
+        assert ("results file field 'summary' entry 0 lacks required field 'n'"
+                in capsys.readouterr().err)
         assert not (tmp_path / "report" / "summary.csv").exists()
 
     def test_damage_on_topology_missing_a_field(self, tmp_path, capsys):
@@ -254,13 +266,17 @@ class TestExperiment:
 class TestMalformedInput:
     @pytest.mark.parametrize("config, argv, message", [
         ({"hyper": {"bogus": 1}}, ["pretrain", "--n", "16"],
-         "unknown config key 'hyper.bogus'"),
+         "config file field 'hyper' has unknown field 'bogus'"),
         ({"hyper": {"kernel_step": 0.1}}, ["pretrain", "--n", "16"],
-         "unknown config key 'hyper.kernel_step'"),
+         "config file field 'hyper' has unknown field 'kernel_step'"),
         ({"hyper": {"hidden_dim": "8"}}, ["pretrain", "--n", "16"],
-         "config key 'hyper' field 'hidden_dim' must be a JSON integer"),
+         "config file field 'hyper' field 'hidden_dim' must be a JSON integer"),
         ({"hyper": [1]}, ["pretrain", "--n", "16"],
-         "config key 'hyper' must be a JSON object"),
+         "config file field 'hyper' must be a JSON object"),
+        ({"density_per_km2": 50}, ["gen", "--n", "20"],
+         "config file has unknown field 'density_per_km2' (known: comm_range, density, "
+         "hyper, max_speed, n, seed, step_s)"),
+        ({"t_max": 5}, ["gen", "--n", "20"], "config file has unknown field 't_max'"),
         ({"n": None}, ["gen"], "config file field 'n' must be a JSON integer"),
         ({"density": "dense"}, ["gen"], "config file field 'density' must be a JSON number"),
         ({"hyper": {"hidden_dim": 0}}, ["gen"], "hidden_dim must be at least 1"),
@@ -268,8 +284,8 @@ class TestMalformedInput:
         ({"hyper": {"branch_cap": 0}}, ["pretrain", "--n", "16"],
          "branch_cap must be at least 1"),
     ], ids=["hyper-unknown", "hyper-deleted-knob", "hyper-string", "hyper-not-object",
-            "n-null", "density-string", "hyper-rejected-on-gen", "max-speed-zero",
-            "branch-cap-zero"])
+            "top-level-unknown", "top-level-t-max", "n-null", "density-string",
+            "hyper-rejected-on-gen", "max-speed-zero", "branch-cap-zero"])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -342,15 +358,20 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("payload, message", [
         ({"version": 1, "summary": 5}, "results file field 'summary' must be a JSON list"),
-        ({"summary": [{"method": "centering", "n": 20, "n_d": 9, "R_c": "high",
-                       "mean_T": 1, "std_T": None, "mean_deg": 1, "max_deg": 1}]},
-         "results summary row field 'R_c' must be a JSON finite number or null"),
-        *(({"summary": [{"method": "centering", "n": 20, "n_d": 9, "R_c": value,
-                         "mean_T": 1, "std_T": None, "mean_deg": 1, "max_deg": 1}]},
-           "results summary row field 'R_c' must be a JSON finite number or null")
+        ({"version": 99, "summary": []}, "unsupported results file version: 99"),
+        ({"version": 1, "summary": [{"method": "centering", "n": 20, "n_d": 9, "R_c": "high",
+                                     "mean_T": 1, "std_T": None, "mean_deg": 1,
+                                     "max_deg": 1}]},
+         "results file field 'summary' entry 0 field 'R_c' must be a JSON finite number "
+         "or null"),
+        *(({"version": 1, "summary": [{"method": "centering", "n": 20, "n_d": 9, "R_c": value,
+                                       "mean_T": 1, "std_T": None, "mean_deg": 1,
+                                       "max_deg": 1}]},
+           "results file field 'summary' entry 0 field 'R_c' must be a JSON finite number "
+           "or null")
           for value in (float("nan"), float("inf"), float("-inf"), 10**400)),
-    ], ids=["summary-int", "row-metric-string", "row-metric-nan", "row-metric-inf",
-            "row-metric-minus-inf", "row-metric-integer-beyond-float"])
+    ], ids=["summary-int", "version-99", "row-metric-string", "row-metric-nan",
+            "row-metric-inf", "row-metric-minus-inf", "row-metric-integer-beyond-float"])
     def test_report_rejects_a_mistyped_results_file(self, tmp_path, capsys, payload, message):
         results = tmp_path / "results.json"
         results.write_text(json.dumps(payload))
@@ -362,7 +383,7 @@ class TestMalformedInput:
 
     def test_report_writes_integer_metrics_as_floats(self, tmp_path):
         results = tmp_path / "results.json"
-        results.write_text(json.dumps({"summary": [
+        results.write_text(json.dumps({"version": 1, "summary": [
             {"method": "centering", "n": 20, "n_d": 9, "R_c": 1, "mean_T": 3,
              "std_T": None, "mean_deg": 10, "max_deg": 12},
         ]}))
@@ -383,7 +404,7 @@ class TestMalformedInput:
         assert run("pretrain", "--n", "16", "--seed", "3", "--hidden-dim", "4",
                    "--blocks", "1", "--iters", "1", "--out", str(model)) == EXIT_OK
         results = tmp_path / "results.json"
-        results.write_text(json.dumps({"summary": []}))
+        results.write_text(json.dumps({"version": 1, "summary": []}))
         return {"topology": topo, "scenario": scenario, "model": model, "results": results,
                 "config": tmp_path / "config.json"}
 
@@ -446,7 +467,8 @@ class TestMalformedInput:
                    "--scenario", str(files["scenario"]), "--plan", str(files["plan"]),
                    "--out", str(tmp_path / "sim.json")) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"{kind} file field '{field}' must be a JSON list of number pairs" in err
+        json_type = {**TOPOLOGY_FIELDS, **PLAN_FIELDS}[field]
+        assert f"{kind} file field '{field}' must be a JSON {json_type}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "sim.json").exists()
 
@@ -466,11 +488,11 @@ class TestMalformedInput:
         ("plan", "method", "", [], "plan file field 'method' must be one of 'ml-dagl', "
                                    "'centering', 'fallback-centroid'"),
         ("plan", "planned_T_rc_s", float("nan"), [],
-         "plan file field 'planned_T_rc_s' must be finite and non-negative"),
+         "plan file field 'planned_T_rc_s' must be a JSON finite non-negative number"),
         ("plan", "planned_T_rc_s", float("inf"), [],
-         "plan file field 'planned_T_rc_s' must be finite and non-negative"),
+         "plan file field 'planned_T_rc_s' must be a JSON finite non-negative number"),
         ("plan", "planned_T_rc_s", -5, [],
-         "plan file field 'planned_T_rc_s' must be finite and non-negative"),
+         "plan file field 'planned_T_rc_s' must be a JSON finite non-negative number"),
     ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "step-nan", "step-inf",
             "max-speed-inf", "step-too-small", "k-star-string", "method-empty",
             "planned-time-nan", "planned-time-inf", "planned-time-negative"])
@@ -540,6 +562,52 @@ class TestMalformedInput:
                    "--scenario", str(files["scenario"]), "--model", str(files["model"]),
                    "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "model file field 'L' must be at least 1" in err
+        assert "model file field 'L' must be a JSON positive integer" in err
         assert "Traceback" not in err
         assert not (tmp_path / "plan.json").exists()
+
+    @pytest.mark.parametrize("field, value", [("L", 10**12), ("d_s", 10**15)])
+    def test_plan_with_a_model_size_its_shapes_do_not_have(self, tmp_path, capsys, field,
+                                                          value):
+        files = self._inputs(tmp_path)
+        payload = json.loads(files["model"].read_text())
+        payload[field] = value
+        files["model"].write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("plan", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--model", str(files["model"]),
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (f"model file field 'shapes' does not match d_s={payload['d_s']} and "
+                f"L={payload['L']}") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_scenario_repeating_an_index(self, tmp_path, capsys):
+        files = self._inputs(tmp_path)
+        files["scenario"].write_text(json.dumps({"version": 1, "topology_ref": "",
+                                                 "destroyed": [2, 5, 2]}))
+        capsys.readouterr()
+        assert run("plan", "--method", "centering", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]),
+                   "--out", str(tmp_path / "plan.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario file field 'destroyed' repeats an index: 3 entries, 2 distinct" in err
+        assert "Traceback" not in err
+
+    def test_simulate_with_a_plan_for_other_survivors(self, tmp_path, capsys):
+        files = self._inputs(tmp_path)
+        plan = tmp_path / "plan.json"
+        assert run("plan", "--method", "centering", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--out", str(plan)) == EXIT_OK
+        payload = json.loads(plan.read_text())
+        payload["targets"].pop()
+        plan.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("simulate", "--topology", str(files["topology"]),
+                   "--scenario", str(files["scenario"]), "--plan", str(plan),
+                   "--out", str(tmp_path / "sim.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "plan file field 'targets' has 8 rows, but the scenario leaves 9 survivors" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim.json").exists()

@@ -742,14 +742,14 @@ class TestPretrain:
             load_model(path)
 
     @pytest.mark.parametrize("field, entry, value, message", [
-        ("shapes", 0, 5, "field 'shapes' must list pairs of non-negative integers"),
-        ("shapes", 0, [2], "field 'shapes' must list pairs of non-negative integers"),
-        ("shapes", 0, [2, -4], "field 'shapes' must list pairs of non-negative integers"),
-        ("shapes", 0, [2, 4.0], "field 'shapes' must list pairs of non-negative integers"),
-        ("shapes", 0, [2, True], "field 'shapes' must list pairs of non-negative integers"),
-        ("shapes", 0, [2, 5], "field 'weights' entry 0 is not a float64 array of shape [2, 5]"),
-        ("weights", 1, 5, "field 'weights' must list base64 strings"),
-        ("weights", 1, None, "field 'weights' must list base64 strings"),
+        ("shapes", 0, 5, "field 'shapes' must be a JSON list of integer pairs"),
+        ("shapes", 0, [2], "field 'shapes' must be a JSON list of integer pairs"),
+        ("shapes", 0, [2, -4], "field 'shapes' does not match d_s=4 and L=1"),
+        ("shapes", 0, [2, 4.0], "field 'shapes' must be a JSON list of integer pairs"),
+        ("shapes", 0, [2, True], "field 'shapes' must be a JSON list of integer pairs"),
+        ("shapes", 0, [2, 5], "field 'shapes' does not match d_s=4 and L=1"),
+        ("weights", 1, 5, "field 'weights' must be a JSON list of strings"),
+        ("weights", 1, None, "field 'weights' must be a JSON list of strings"),
         ("weights", 1, "AAAA", "field 'weights' entry 1 is not a float64 array"),
         ("weights", 1, "%%%", "field 'weights' entry 1 is not a float64 array"),
     ], ids=["shape-int", "shape-short", "shape-negative", "shape-float", "shape-bool",
@@ -780,7 +780,20 @@ class TestPretrain:
         """Shapes can match a zero width or block count; ``forward`` needs both."""
         path = tmp_path / "model.json"
         save_model(path, ModelWeights.init_scaled_uniform(hidden_dim, blocks, seed=0), 0)
-        with pytest.raises(ValueError, match=f"model file field '{field}' must be at least 1"):
+        with pytest.raises(ValueError,
+                           match=f"model file field '{field}' must be a JSON positive integer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("L", 10**12), ("d_s", 10**15)])
+    def test_model_file_rejects_a_size_its_shapes_do_not_have(self, tmp_path, field, value):
+        """Checked against the shapes' count first, so no list of 2L + 2 shapes is built."""
+        path = tmp_path / "model.json"
+        save_model(path, ModelWeights.init_scaled_uniform(4, 1, seed=0), init_seed=0)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"model file field 'shapes' does not match "
+                                             f"d_s={payload['d_s']} and L={payload['L']}"):
             load_model(path)
 
     def test_model_file_rejects_mismatched_lengths(self, tmp_path):
