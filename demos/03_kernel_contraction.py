@@ -1,6 +1,6 @@
 """Watch the convolution kernel contract node positions to centroids.
 
-Repeated application of I - step * L is a contraction: column sums never
+Repeated application of I - L/n is a contraction: column sums never
 move, and on a connected branch every row converges to the swarm centroid
 (on a disconnected branch, to per-component centroids).  This is the
 mechanism that guarantees a worst-case recovery solution exists.

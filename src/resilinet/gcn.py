@@ -1,7 +1,7 @@
 """Graph-convolution planner network over the bipartite damage-graph batch.
 
 The network maps normalized node positions through a stack of graph
-convolutions ``(I - step * L) X W`` on the block-diagonal batch: one widening
+convolutions ``(I - L/n) X W`` on the block-diagonal batch: one widening
 layer, ``blocks`` residual blocks (two convolution + ReLU pairs each, with a
 skip from the first layer's output), and a tanh projection back to 2-D that
 is rescaled to position range.  Each branch block of the output is a
@@ -56,8 +56,8 @@ class TrainingDivergence(RuntimeError):
 class Hyperparams:
     """Network and training knobs; defaults match the reference experiments.
 
-    The kernel step is always 1/n (``build_kernel``'s default), and Adam uses
-    the standard betas 0.9 and 0.999 and epsilon 1e-8.
+    The kernel step is always 1/n (see ``build_kernel``), and Adam uses the
+    standard betas 0.9 and 0.999 and epsilon 1e-8.
     """
 
     hidden_dim: int = 512
@@ -80,10 +80,6 @@ class Hyperparams:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
-    def resolve_gap_penalty(self, comm_range: float) -> float:
-        """One full penalty unit per communication range of residual component gap."""
-        return self.lagrange_s / comm_range
-
 
 @dataclass(frozen=True)
 class ModelWeights:
@@ -104,11 +100,6 @@ class ModelWeights:
         if shapes != expected:
             raise ValueError(f"weight shapes {shapes} do not match {expected}")
 
-    @property
-    def q(self) -> int:
-        """Total number of convolution layers."""
-        return 2 * self.blocks + 2
-
     @staticmethod
     def expected_shapes(hidden_dim: int, blocks: int) -> tuple[tuple[int, int], ...]:
         shapes = [(2, hidden_dim)]
@@ -127,23 +118,18 @@ class ModelWeights:
         return cls(matrices=tuple(mats), hidden_dim=hidden_dim, blocks=blocks)
 
 
-def build_kernel(seq: DamageGraphSequence, step: float | None = None) -> sparse.csr_matrix:
-    """Convolution kernel I - step * Laplacian of the block-diagonal batch.
+def build_kernel(seq: DamageGraphSequence) -> sparse.csr_matrix:
+    """Convolution kernel I - L/n of the block-diagonal batch, n nodes per branch.
 
-    Validates the contraction condition 0 < step <= 1/max_degree; the
-    resulting matrix is symmetric, entrywise in [0, 1], and row-stochastic.
+    The step 1/n is a contraction on every branch: a branch links remaining
+    nodes only to destroyed ones, so a remaining node has degree at most n_d
+    and a destroyed node at most n_r, both at most n - 1.  Hence 1/n <=
+    1/max_degree, and the kernel is symmetric, entrywise in [0, 1] and
+    row-stochastic.
     """
     adjacency = seq.batch_adjacency
-    n_total = adjacency.shape[0]
-    if step is None:
-        step = 1.0 / seq.n
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    max_degree = float(degrees.max()) if n_total else 0.0
-    if step <= 0 or (max_degree > 0 and step > 1.0 / max_degree + 1e-15):
-        raise ValueError(
-            f"kernel step {step} violates contraction bound 1/{max_degree}"
-        )
-    kernel = sparse.identity(n_total, format="csr") - step * (
+    kernel = sparse.identity(adjacency.shape[0], format="csr") - (1.0 / seq.n) * (
         sparse.diags(degrees) - adjacency
     )
     return kernel.tocsr()
@@ -162,8 +148,8 @@ def kernel_flow(seq: DamageGraphSequence, branch: int, x: np.ndarray,
                 steps: int) -> np.ndarray:
     """Apply one branch's kernel ``steps`` times to x (no weights).
 
-    The kernel is the branch's diagonal block of ``build_kernel`` at its
-    default step 1/n.  Column sums are invariant; on a connected branch the
+    The kernel is the branch's diagonal block of ``build_kernel``, with
+    step 1/n.  Column sums are invariant; on a connected branch the
     rows converge to the centroid of x, and on a disconnected branch to
     per-component centroids.
     """
@@ -442,12 +428,8 @@ class LossHead:
     grad_output: np.ndarray
     metrics: BranchMetrics
     reported: float
-    surrogate_total: float
-
-    @property
-    def trainable(self) -> float:
-        """Value whose gradient grad_output actually is."""
-        return float(self.metrics.flight_times.sum() + self.surrogate_total)
+    # Value whose gradient grad_output actually is: flight times plus surrogate.
+    trainable: float
 
 
 def loss_head(output: np.ndarray, n: int, n_remaining: int,
@@ -465,7 +447,7 @@ def loss_head(output: np.ndarray, n: int, n_remaining: int,
     grad = np.zeros_like(output)
     times = np.empty(branches)
     counts = np.empty(branches, dtype=int)
-    surrogate_total = 0.0
+    surrogate = 0.0
     for k in range(branches):
         lo = k * n
         targets = output[lo: lo + n_remaining]
@@ -476,7 +458,7 @@ def loss_head(output: np.ndarray, n: int, n_remaining: int,
                 max_speed * dist[worst]
             )
         counts[k] = n_comp
-        surrogate_total += _component_gap_gradient(
+        surrogate += _component_gap_gradient(
             targets, n_comp, labels, comm_range, gap_penalty, grad[lo: lo + n_remaining]
         )
     metrics = BranchMetrics(flight_times=times, subnet_counts=counts)
@@ -484,11 +466,11 @@ def loss_head(output: np.ndarray, n: int, n_remaining: int,
         grad_output=grad,
         metrics=metrics,
         reported=reported_loss(metrics, lagrange_s),
-        surrogate_total=surrogate_total,
+        trainable=float(times.sum() + surrogate),
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     first_moment: tuple[np.ndarray, ...]
     second_moment: tuple[np.ndarray, ...]
@@ -504,19 +486,20 @@ class AdamState:
 
 
 def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
-              config: Hyperparams) -> tuple[ModelWeights, AdamState]:
+              config: Hyperparams) -> None:
     """Standard Adam update with bias correction, in place.
 
-    Overwrites ``weights.matrices`` and the state's moment arrays, and
-    returns the same weights with the state advanced by one step; a caller
-    that needs the old values copies them first.  Per element it computes
+    Overwrites ``weights.matrices`` and the state's moment arrays and
+    advances ``state.step`` by one; a caller that needs the old values
+    copies them first.  Per element it computes
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in that order, so the result is
     bit-identical to the out-of-place form.  Each matrix is updated in row
     slices of about ``ADAM_SLICE_BYTES`` with two scratch buffers allocated
     once per call, all in the weights' dtype.
     """
-    t = state.step + 1
+    state.step += 1
+    t = state.step
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1, c2, lr = 1.0 - b1 ** t, 1.0 - b2 ** t, config.learning_rate
     dtype = weights.matrices[0].dtype
@@ -547,27 +530,27 @@ def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
             np.multiply(b, lr, out=b)
             np.divide(b, a, out=b)
             np.subtract(w, b, out=w)
-    return weights, replace(state, step=t)
 
 
 def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence,
                kernel, start_remaining: np.ndarray, comm_range: float,
                config: Hyperparams, rng: np.random.Generator, buffers: BackwardBuffers,
-               prefix: ForwardTrace | None = None
-               ) -> tuple[AdamState, LossHead, ForwardTrace]:
-    """One train-mode forward/backward/Adam update of ``weights`` in place.
+               prefix: ForwardTrace | None = None) -> tuple[LossHead, ForwardTrace]:
+    """One train-mode forward/backward/Adam update of ``weights`` and ``state`` in place.
 
-    Returns the advanced Adam state, the loss head and the forward trace;
-    ``buffers`` goes to ``backward`` and ``prefix`` to ``forward``.
+    Returns the loss head and the forward trace; ``buffers`` goes to
+    ``backward`` and ``prefix`` to ``forward``.  The gap penalty is one
+    ``lagrange_s`` per communication range of residual component gap.
     """
     output, trace = forward(weights, seq, kernel, config, train=True, rng=rng,
                             prefix=prefix)
     head = loss_head(
         output, seq.n, seq.n_remaining, start_remaining, config.max_speed,
-        comm_range, config.lagrange_s, config.resolve_gap_penalty(comm_range),
+        comm_range, config.lagrange_s, config.lagrange_s / comm_range,
     )
     grads = backward(trace, weights, kernel, head.grad_output, buffers)
-    return adam_step(weights, grads, state, config)[1], head, trace
+    adam_step(weights, grads, state, config)
+    return head, trace
 
 
 @dataclass(frozen=True)
@@ -621,7 +604,7 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     # in again on every iteration.
     trace: ForwardTrace | None = None
     for iteration in range(1, config.pretrain_iters + 1):
-        state, head, trace = train_step(
+        head, trace = train_step(
             weights, state, seq, kernel, start_remaining, comm_range, config, rng, buffers
         )
         feasible = head.metrics.subnet_counts == 1
@@ -699,8 +682,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     best_targets: list[np.ndarray | None] = [None] * branches
 
     for _ in range(config.online_iters):
-        state = train_step(weights, state, seq, kernel, start_remaining, comm_range, config,
-                           rng, buffers, prefix=eval_trace)[0]
+        train_step(weights, state, seq, kernel, start_remaining, comm_range, config, rng,
+                   buffers, prefix=eval_trace)
         output, eval_trace = forward(weights, seq, kernel, config, train=False)
         metrics = per_branch_metrics(
             output, n, n_r, start_remaining, config.max_speed, comm_range
@@ -722,7 +705,7 @@ def save_model(path: str | Path, weights: ModelWeights, init_seed: int,
         "n": (metadata or {}).get("n"),
         "d_s": weights.hidden_dim,
         "L": weights.blocks,
-        "Q": weights.q,
+        "Q": len(weights.matrices),
         "dtype": "float64",
         "byte_order": "little",
         "shapes": [list(m.shape) for m in weights.matrices],

@@ -90,8 +90,8 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
         raise ValueError("max_speed must be positive and finite")
     if not 0 < step_s < math.inf:
         raise ValueError("step_s must be positive and finite")
-    if not t_max >= 0:
-        raise ValueError("t_max must be a non-negative number")
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be a finite non-negative number")
     positions = np.asarray(start, dtype=float).copy()
     targets = np.asarray(plan.targets, dtype=float)
     if positions.shape != targets.shape:
@@ -179,8 +179,8 @@ class ExperimentSpec:
             raise ValueError("step_s must be positive and finite")
         if self.seeds is not None and len(self.seeds) < self.trials:
             raise ValueError("seeds must cover every trial")
-        if self.t_max is not None and not self.t_max >= 0:
-            raise ValueError("t_max must be a non-negative number")
+        if self.t_max is not None and not 0 <= self.t_max < math.inf:
+            raise ValueError("t_max must be a finite non-negative number")
         for name in ("methods", "damage_sizes"):
             values = getattr(self, name)
             if not values:

@@ -57,8 +57,9 @@ class SwarmTopology:
             if not math.isfinite(dx * dx + dy * dy):
                 raise ValueError("positions are too far apart: their squared distances "
                                  "would overflow")
-        if not self.comm_range > 0:
-            raise ValueError("comm_range (topology file field 'd_tr_m') must be positive")
+        if not 0 < self.comm_range < math.inf:
+            raise ValueError("comm_range (topology file field 'd_tr_m') must be positive "
+                             "and finite")
         if not (math.isfinite(self.side) and self.side > 0):
             raise ValueError("side (topology file field 'side_m') must be finite and positive")
         object.__setattr__(self, "positions", pos)
@@ -131,8 +132,8 @@ def check_swarm_params(n: int, density_per_km2: float, comm_range: float) -> Non
     # n / density must be finite too, or the side of the area overflows.
     if not (0 < density_per_km2 < math.inf and math.isfinite(n / density_per_km2)):
         raise ValueError("density_per_km2 must be finite and positive")
-    if not comm_range > 0:
-        raise ValueError("comm_range must be positive")
+    if not 0 < comm_range < math.inf:
+        raise ValueError("comm_range must be positive and finite")
 
 
 def generate_swarm(n: int, density_per_km2: float, comm_range: float,
@@ -225,8 +226,11 @@ def save_topology(path: str | Path, topology: SwarmTopology) -> None:
 
 
 def write_payload(path: str | Path, payload: dict) -> None:
-    """Write a JSON file: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write a JSON file: sorted keys, two-space indent, trailing newline.
+
+    A NaN or infinite value raises ValueError: standard JSON has no such number.
+    """
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _csv_cell(value):

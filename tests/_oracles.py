@@ -243,3 +243,77 @@ def component_pair_gap_gradient(targets, n_comp, labels, comm_range, gap_penalty
         grad_out[i] += gap_penalty * unit
         grad_out[j] -= gap_penalty * unit
     return surrogate
+
+
+def exact_first_connection(start, targets, max_speed, comm_range):
+    """Exact first-connection time T* of a straight-line flight, from range-crossing events.
+
+    Node i flies from ``start[i]`` straight to ``targets[i]`` at ``max_speed``
+    and stays once it arrives.  Between the arrival times of a pair, the
+    difference of its positions is linear in t, so its squared distance is
+    one quadratic on each of at most three pieces (both moving, one arrived,
+    both arrived).  The times at which the pair enters or leaves range are
+    the roots of that quadratic minus r**2 inside its piece.  Between two
+    consecutive such times the graph does not change, so one dense labeling
+    at the midpoint of each interval decides it.  Links are boundary
+    inclusive: at a crossing time the graph holds the links of both of its
+    neighbouring intervals.
+
+    Returns (T*, run): T* is the first time the swarm is one component and
+    run the length of the connected stretch that starts there (0.0 for a
+    connection at one instant, inf when it stays connected).  A flight that
+    never connects gives (None, 0.0).
+    """
+    start = np.asarray(start, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    m = start.shape[0]
+    delta = targets - start
+    dist = np.sqrt((delta ** 2).sum(axis=1))
+    arrival = dist / max_speed
+    velocity = np.zeros_like(delta)
+    for i in range(m):
+        if dist[i] > 0:
+            velocity[i] = delta[i] / dist[i] * max_speed
+
+    def position(t):
+        return start + velocity * np.minimum(t, arrival)[:, None]
+
+    r2 = comm_range * comm_range
+    events = set()
+    for i in range(m):
+        for j in range(i + 1, m):
+            cuts = sorted({0.0, arrival[i], arrival[j]}) + [math.inf]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                # rel(t) = c + w t on [lo, hi): only the nodes still flying move.
+                w = velocity[i] * (arrival[i] > lo) - velocity[j] * (arrival[j] > lo)
+                at_lo = position(lo)
+                c = (at_lo[i] - at_lo[j]) - w * lo
+                a, b, k = w @ w, c @ w, c @ c - r2
+                disc = b * b - a * k
+                if a == 0.0 or disc < 0.0:
+                    continue
+                for root in ((-b - math.sqrt(disc)) / a, (-b + math.sqrt(disc)) / a):
+                    if lo < root < hi:
+                        events.add(root)
+    times = [0.0, *sorted(events)]
+
+    def adjacency(t):
+        return einsum_adjacency(position(t), comm_range)
+
+    def connected(adj):
+        return int8_csr_component_labels(adj)[0] == 1
+
+    # Interval k is (times[k], times[k + 1]); the last one never ends.
+    ends = [*times[1:], math.inf]
+    inside = [adjacency((t + end) / 2.0 if end < math.inf else t + 1.0)
+              for t, end in zip(times, ends)]
+    interval_connected = [connected(adj) for adj in inside]
+    for k, t in enumerate(times):
+        at_t = adjacency(0.0) if k == 0 else inside[k - 1] | inside[k]
+        if not connected(at_t):
+            continue
+        end = k
+        while end < len(times) and interval_connected[end]:
+            end += 1
+        return t, (math.inf if end == len(times) else times[end] - t)
+    return None, 0.0

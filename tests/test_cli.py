@@ -298,6 +298,7 @@ class TestMalformedInput:
         (["gen", "--density", "nan"], "density_per_km2 must be finite and positive"),
         (["gen", "--density", "inf"], "density_per_km2 must be finite and positive"),
         (["gen", "--comm-range", "nan"], "comm_range must be positive"),
+        (["gen", "--comm-range", "inf"], "comm_range must be positive and finite"),
         (["experiment", "--density", "nan", "--nd", "5", "--trials", "1"],
          "density_per_km2 must be finite and positive"),
         (["experiment", "--comm-range", "nan", "--nd", "5", "--trials", "1"],
@@ -308,13 +309,16 @@ class TestMalformedInput:
          "step_s must be positive and finite"),
         (["experiment", "--max-speed", "inf", "--nd", "5", "--trials", "1"],
          "max_speed must be positive and finite"),
+        (["experiment", "--t-max", "inf", "--nd", "5", "--trials", "1"],
+         "t_max must be a finite non-negative number"),
         (["pretrain", "--lagrange", "nan"], "lagrange_s must be positive and finite"),
         (["pretrain", "--lagrange", "-5"], "lagrange_s must be positive and finite"),
         (["pretrain", "--learning-rate", "-1"], "learning_rate must be positive and finite"),
         (["pretrain", "--learning-rate", "inf"], "learning_rate must be positive and finite"),
-    ], ids=["gen-density-nan", "gen-density-inf", "gen-comm-range-nan",
+    ], ids=["gen-density-nan", "gen-density-inf", "gen-comm-range-nan", "gen-comm-range-inf",
             "experiment-density-nan", "experiment-comm-range-nan", "experiment-step-nan",
-            "experiment-step-inf", "experiment-max-speed-inf", "pretrain-lagrange-nan",
+            "experiment-step-inf", "experiment-max-speed-inf", "experiment-t-max-inf",
+            "pretrain-lagrange-nan",
             "pretrain-lagrange-negative", "pretrain-learning-rate-negative",
             "pretrain-learning-rate-inf"])
     def test_non_finite_parameter_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -476,7 +480,11 @@ class TestMalformedInput:
         ("topology", "side_m", -100, [], "topology file field 'side_m'"),
         ("topology", "side_m", 0, [], "topology file field 'side_m'"),
         ("topology", "d_tr_m", float("nan"), [], "topology file field 'd_tr_m'"),
-        ("topology", None, None, ["--t-max", "nan"], "t_max must be a non-negative number"),
+        ("topology", "d_tr_m", float("inf"), [], "topology file field 'd_tr_m'"),
+        ("topology", None, None, ["--t-max", "nan"],
+         "t_max must be a finite non-negative number"),
+        ("topology", None, None, ["--t-max", "inf"],
+         "t_max must be a finite non-negative number"),
         ("topology", None, None, ["--step", "nan"], "step_s must be positive and finite"),
         ("topology", None, None, ["--step", "inf"], "step_s must be positive and finite"),
         ("topology", None, None, ["--max-speed", "inf"],
@@ -493,8 +501,8 @@ class TestMalformedInput:
          "plan file field 'planned_T_rc_s' must be a JSON finite non-negative number"),
         ("plan", "planned_T_rc_s", -5, [],
          "plan file field 'planned_T_rc_s' must be a JSON finite non-negative number"),
-    ], ids=["side-negative", "side-zero", "d-tr-nan", "t-max-nan", "step-nan", "step-inf",
-            "max-speed-inf", "step-too-small", "k-star-string", "method-empty",
+    ], ids=["side-negative", "side-zero", "d-tr-nan", "d-tr-inf", "t-max-nan", "t-max-inf",
+            "step-nan", "step-inf", "max-speed-inf", "step-too-small", "k-star-string", "method-empty",
             "planned-time-nan", "planned-time-inf", "planned-time-negative"])
     def test_simulate_rejects_a_bad_value(self, tmp_path, capsys, kind, field, value, argv,
                                           message):

@@ -108,7 +108,7 @@ def run_gradient_suite(points: int = 20, max_attempts: int = 200):
     graph_in, seq = build_case()
     kernel = build_kernel(seq)
     start_remaining = graph_in.features[:graph_in.n_remaining]
-    gap_penalty = CONFIG.resolve_gap_penalty(COMM_RANGE)
+    gap_penalty = CONFIG.lagrange_s / COMM_RANGE
     rng = np.random.default_rng(2024)
     checked = 0
     worst = 0.0

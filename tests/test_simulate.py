@@ -18,7 +18,7 @@ from resilinet.simulate import (ExperimentSpec, SUMMARY_COLUMNS, TRIAL_COLUMNS,
                                 simulate_recovery)
 from resilinet.swarm import build_adjacency, generate_swarm
 
-from _oracles import dense_subnet_series
+from _oracles import dense_subnet_series, exact_first_connection
 from test_damage import damage_cases
 from test_planner import count_calls
 
@@ -130,6 +130,80 @@ class TestSimulatorProperties:
         assert_monotone_flight_within_plan(start, plan, topology.comm_range)
 
 
+def survivor_flight(kind, seed):
+    """(start, targets) of the survivors of a random damage at 200/km^2, at most 30 of them.
+
+    centering: every survivor flies to the swarm's centroid.  perturbed: to a
+    jittered shrink of the survivors about their centroid.  shuffled: the
+    perturbed targets dealt to the wrong nodes, so paths cross.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 41))
+    side = 1000.0 * math.sqrt(n / 200.0)
+    positions = rng.uniform(0.0, side, size=(n, 2))
+    remaining = np.sort(rng.choice(n, size=int(rng.integers(2, min(n, 30) + 1)),
+                                   replace=False))
+    start = positions[remaining]
+    targets = np.tile(positions.mean(axis=0), (len(start), 1))
+    if kind in ("perturbed", "shuffled"):
+        center = start.mean(axis=0)
+        targets = (center + rng.uniform(0.0, 0.6) * (start - center)
+                   + rng.normal(scale=rng.uniform(0.0, 30.0), size=start.shape))
+    if kind == "shuffled":
+        targets = targets[rng.permutation(len(targets))]
+    return start, targets
+
+
+class TestExactFirstConnection:
+    """The measured T_rc against the exact first-connection time T* of the motion."""
+
+    STEP_S = 0.1
+    FLIGHTS = 60
+
+    def test_oracle_on_a_closing_pair(self):
+        # Node 2 closes on node 1 at 10 m/s and is 120 m away after exactly 1 s.
+        start = [[0.0, 0.0], [100.0, 0.0], [230.0, 0.0]]
+        targets = [[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]]
+        assert exact_first_connection(start, targets, 10.0, 120.0) == (1.0, math.inf)
+
+    def test_oracle_sees_a_connection_shorter_than_a_step(self):
+        # Node 0 passes node 1 at 119.999 m, so it is in range while its x is
+        # within sqrt(120**2 - 119.999**2) of 500 m.
+        half = math.sqrt(120.0 ** 2 - 119.999 ** 2)
+        t_star, run = exact_first_connection([[0.0, 0.0], [500.0, 119.999]],
+                                             [[1000.0, 0.0], [500.0, 119.999]], 10.0, 120.0)
+        assert t_star == pytest.approx((500.0 - half) / 10.0, rel=1e-12)
+        assert run == pytest.approx(2.0 * half / 10.0, rel=1e-6)
+        assert run < self.STEP_S
+
+    @pytest.mark.parametrize("kind", ["centering", "perturbed", "shuffled"])
+    def test_measured_time_is_at_most_one_step_late(self, kind, record_property):
+        """T* <= measured < T* + step_s when the connection at T* lasts a step.
+
+        A shorter connection can fall between two steps; those flights are
+        counted and reported, and only T* <= measured is checked for them.
+        """
+        checked, short = 0, 0
+        for seed in range(self.FLIGHTS):
+            start, targets = survivor_flight(kind, seed)
+            measured = simulate_recovery(start, plan_to(targets), 10.0, self.STEP_S, 120.0,
+                                         t_max=1e9).first_connected_s
+            t_star, run = exact_first_connection(start, targets, 10.0, 120.0)
+            if t_star is None:
+                assert measured is None
+                continue
+            assert measured is None or measured >= t_star - 1e-9
+            if run >= self.STEP_S:
+                assert measured is not None and measured < t_star + self.STEP_S + 1e-9
+                checked += 1
+            else:
+                short += 1
+        record_property("connections_shorter_than_a_step", short)
+        print(f"{kind}: {checked} flights measured within one step of T*, "
+              f"{short} first connections shorter than a step")
+        assert checked > 0
+
+
 class TestSimulateRecovery:
     def test_already_connected_measures_zero(self):
         start = np.array([[0.0, 0.0], [50.0, 0.0]])
@@ -217,7 +291,7 @@ class TestSimulateRecovery:
         assert simulate_recovery(start, still_plan(start), max_speed, step_s, 120.0,
                                  1.0).subnet_series.tolist() == [1]
 
-    @pytest.mark.parametrize("t_max", [float("nan"), -1.0])
+    @pytest.mark.parametrize("t_max", [float("nan"), -1.0, float("inf")])
     def test_rejects_bad_budget(self, t_max):
         start = np.array([[0.0, 0.0], [10.0, 0.0]])
         with pytest.raises(ValueError, match="t_max"):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from resilinet.swarm import (GenerationError, SwarmTopology, _pairwise_sq_distances,
                              build_adjacency, component_labels, count_subnets,
                              degree_cdf, degree_stats, diameter_hops, generate_swarm,
-                             hop_distances, load_topology, save_topology, write_csv)
+                             hop_distances, load_topology, save_topology, write_csv,
+                             write_payload)
 
 from _oracles import (bfs_hops_single, eigencount_components, einsum_adjacency,
                       einsum_sq_distances, floyd_warshall_hops,
@@ -134,9 +135,10 @@ class TestGenerateSwarm:
         (0.0, 120.0, "density_per_km2 must be finite and positive"),
         (1e-320, 120.0, "density_per_km2 must be finite and positive"),
         (200.0, float("nan"), "comm_range must be positive"),
+        (200.0, float("inf"), "comm_range must be positive and finite"),
         (200.0, -1.0, "comm_range must be positive"),
     ], ids=["density-nan", "density-inf", "density-zero", "density-area-overflow",
-            "comm-range-nan", "comm-range-negative"])
+            "comm-range-nan", "comm-range-inf", "comm-range-negative"])
     def test_rejects_parameters_outside_their_domain(self, density, comm_range, message):
         with pytest.raises(ValueError, match=message):
             generate_swarm(20, density, comm_range, seed=0, max_attempts=3)
@@ -344,3 +346,12 @@ def test_write_csv_cell_rule(tmp_path):
         b",1,0.1,7,\"a,b\",0.30000000000000004\r\n"
         b",0,2.0,-1,,0.3333333333333333\r\n"
     )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_payload_refuses_a_non_finite_number(tmp_path, value):
+    """Standard JSON has no NaN or infinity, so no file is written."""
+    path = tmp_path / "payload.json"
+    with pytest.raises(ValueError):
+        write_payload(path, {"nested": [1.0, value]})
+    assert not path.exists()
