@@ -180,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "t_max_s": t_max,
         "mean_degree": sim.degree.mean,
         "max_degree": sim.degree.max_degree,
-        "n_subnets_series": [int(v) for v in sim.subnet_series],
+        "n_subnets_series": sim.subnet_series.tolist(),
     })
     if args.series:
         write_csv(args.series, ["step", "t_s", "n_subnets"],

@@ -34,6 +34,9 @@ RESULTS_VERSION = 1
 # The most steps a flight may take; real flights take hundreds to a few
 # thousand (about 700 at n = 200 and 1 550 at n = 1000 at the defaults).
 MAX_STEPS = 10**6
+# Steps flown between two tests of the labeling certificate; each block's
+# steps are tested in one vectorised pass.
+BLOCK_STEPS = 32
 
 TRIAL_COLUMNS = [
     "method", "n", "n_d", "seed", "converged", "measured_T_rc_s",
@@ -72,19 +75,31 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     Per step each node moves min(max_speed * step_s, remaining distance), so
     motion is overshoot-free and distance-to-target is non-increasing.  The
     series keeps going after first connection, to plan completion.  A plan
-    that needs more than ``MAX_STEPS`` steps is refused before the flight.
+    that needs more than ``MAX_STEPS`` steps is refused before the flight,
+    and so is a non-finite start or target.
 
     Each step's sub-net count is the one a fresh labeling of the disk graph
     would give, but most steps are decided by a certificate kept from the
     last full labeling (the kinetic data structures of Basch, Guibas and
-    Hershberger): the count, the labels and a spanning forest of that graph.
-    If every forest pair is still in range, every old component is still
-    connected, so the new components are unions of old ones, joined only
-    by links between different old labels.  Hence, with the forest intact,
-    a count of 1 stays 1 with no graph built, and a larger count stays
-    unchanged when no link joins two labels.  A broken forest pair or a
-    link between labels makes the step a full labeling.  The pair test is
-    ``build_adjacency``'s own, bit for bit, so the counts are exact.
+    Hershberger): the count, a spanning forest of that graph and the pairs
+    of nodes in different components.  If every forest pair is still in
+    range, every old component is still connected, so the new components
+    are unions of old ones, joined only by links between different old
+    components.  Hence, with the forest intact and no such link, the count
+    is unchanged; a broken forest pair or a link between components makes
+    the step a full labeling.  The pair test is ``build_adjacency``'s own,
+    bit for bit, so the counts are exact.
+
+    The flight runs in blocks of ``BLOCK_STEPS`` steps.  Only the nodes
+    still flying are moved, and the certificate is tested at every step of
+    a block in one pass; the first failing step is labeled afresh, and the
+    rest of the block is tested against the new certificate.  A node moves
+    at most max_speed * step_s per step, so a pair closes by at most twice
+    that: a pair farther apart than comm_range plus twice the block's flight
+    at its first step cannot link within the block, and is not tested.  The
+    bound carries a slack of 1e-9 of itself plus the largest coordinate,
+    which the rounding of the motion stays far within, so dropping those
+    pairs never changes a count.
     """
     if not 0 < max_speed < math.inf:
         raise ValueError("max_speed must be positive and finite")
@@ -96,6 +111,10 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     targets = np.asarray(plan.targets, dtype=float)
     if positions.shape != targets.shape:
         raise ValueError("start and plan target shapes differ")
+    if not np.isfinite(positions).all():
+        raise ValueError("start positions must be finite")
+    if not np.isfinite(targets).all():
+        raise ValueError("plan targets must be finite")
 
     reach = max_speed * step_s
     max_dist = float(np.linalg.norm(targets - positions, axis=1).max())
@@ -105,47 +124,82 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
                          f"{MAX_STEPS} steps at max_speed={max_speed!r}")
     total_steps = int(math.ceil(max_dist / reach - 1e-12)) if max_dist > 0 else 0
 
-    count, labels, forest = _labeling(build_adjacency(positions, comm_range))
-    series = [count]
-    history = [positions.copy()] if keep_history else None
-    first: float | None = 0.0 if count == 1 else None
-
-    for step in range(1, total_steps + 1):
-        delta = targets - positions
-        dist = np.linalg.norm(delta, axis=1)
-        arrive = dist <= reach
-        moving = ~arrive & (dist > 0)
-        positions[arrive] = targets[arrive]
-        positions[moving] += delta[moving] * (reach / dist[moving])[:, None]
-        intact = _pairs_in_range(positions, *forest, comm_range).all()
-        if not intact or count > 1:
-            adjacency = build_adjacency(positions, comm_range)
-            if not intact or (adjacency & (labels[:, None] != labels[None, :])).any():
-                count, labels, forest = _labeling(adjacency)
-        series.append(count)
+    count, forest, across = _labeling(build_adjacency(positions, comm_range))
+    series = np.empty(total_steps + 1, dtype=int)
+    series[0] = count
+    history = [positions[None].copy()] if keep_history else None
+    extent = max(np.abs(positions).max(), np.abs(targets).max())
+    # The nodes still flying and their coordinates.  Every node starts here:
+    # one already on its target arrives, taking the target's bits, at step 1.
+    flying = np.arange(len(positions))
+    x, y = positions.T.copy()
+    to_x, to_y = targets.T.copy()
+    xs, ys = positions[:, 0], positions[:, 1]
+    block = np.empty((BLOCK_STEPS, *positions.shape))
+    for first_step in range(1, total_steps + 1, BLOCK_STEPS):
+        frames = block[:min(BLOCK_STEPS, total_steps + 1 - first_step)]
+        for frame in frames:
+            dx, dy = to_x - x, to_y - y
+            dist = np.sqrt(dx * dx + dy * dy)
+            arrive = dist <= reach
+            if np.count_nonzero(arrive):
+                positions[flying[arrive]] = targets[flying[arrive]]
+                keep = ~arrive
+                flying, x, y, to_x, to_y, dx, dy, dist = (
+                    a[keep] for a in (flying, x, y, to_x, to_y, dx, dy, dist))
+            scale = reach / dist
+            x, y = x + dx * scale, y + dy * scale
+            xs[flying], ys[flying] = x, y
+            frame[...] = positions
+        done = 0
+        while done < len(frames):
+            held = done + _certified_steps(frames[done:], forest, across, comm_range,
+                                           2.0 * reach, extent)
+            series[first_step + done:first_step + held] = count
+            if held < len(frames):
+                count, forest, across = _labeling(build_adjacency(frames[held], comm_range))
+                series[first_step + held] = count
+            done = held + 1
         if keep_history:
-            history.append(positions.copy())
-        if first is None and count == 1:
-            first = step * step_s
+            history.append(frames.copy())
 
+    connected = np.flatnonzero(series == 1)
+    first = int(connected[0]) * step_s if connected.size else None
     return SimResult(
-        subnet_series=np.asarray(series, dtype=int),
+        subnet_series=series,
         first_connected_s=first,
         converged=first is not None and first <= t_max + 1e-9,
         degree=degree_stats(build_adjacency(positions, comm_range)),
         final_positions=positions,
-        history=np.asarray(history) if keep_history else None,
+        history=np.concatenate(history) if keep_history else None,
     )
 
 
-def _labeling(adjacency: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Component count, labels and a spanning forest (as node pair arrays) of a graph.
+def _labeling(adjacency: np.ndarray) -> tuple[int, tuple[np.ndarray, np.ndarray],
+                                              tuple[np.ndarray, np.ndarray]]:
+    """Component count, a spanning forest and the pairs between components of a graph.
 
-    The forest is taken over unit weights: csgraph drops explicit zeros, so
-    squared-distance weights would lose the links between coincident nodes.
+    Both node pair sets are (rows, cols) index arrays.  The forest is taken
+    over unit weights: csgraph drops explicit zeros, so squared-distance
+    weights would lose the links between coincident nodes.
     """
     count, labels = component_labels(adjacency)
-    return count, labels, minimum_spanning_tree(_csr_graph(adjacency)).nonzero()
+    forest = minimum_spanning_tree(_csr_graph(adjacency)).nonzero()
+    return count, forest, np.nonzero(labels[:, None] < labels[None, :])
+
+
+def _certified_steps(frames: np.ndarray, forest, across, comm_range: float,
+                     closing: float, extent: float) -> int:
+    """How many leading frames the certificate (forest, across) holds for.
+
+    ``closing`` is the most a pair closes per step; a pair between
+    components farther apart than the block can close is not tested.
+    """
+    holds = _pairs_in_range(frames, *forest, comm_range).all(axis=1)
+    bound = comm_range + closing * len(frames)
+    near = _pairs_in_range(frames[0], *across, bound + 1e-9 * (bound + extent))
+    holds &= ~_pairs_in_range(frames, across[0][near], across[1][near], comm_range).any(axis=1)
+    return len(frames) if holds.all() else int(holds.argmin())
 
 
 @dataclass(frozen=True)
@@ -285,7 +339,7 @@ def _run_trial(spec: ExperimentSpec, n_d: int, seed: int,
             planned_s=plan.planned_time,
             mean_degree=sim.degree.mean, max_degree=sim.degree.max_degree,
             k_star=plan.k_star, iterations=plan.iterations,
-            subnet_series=tuple(int(v) for v in sim.subnet_series),
+            subnet_series=tuple(sim.subnet_series.tolist()),
             final_degrees=tuple(int(d) for d in sim.degree.degrees),
         ))
     return records

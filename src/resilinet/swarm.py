@@ -114,12 +114,14 @@ def _pairs_in_range(positions: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
     The squared distance is the same elementwise dx*dx + dy*dy as
     ``_pairwise_sq_distances`` computes, so a pair is linked here exactly
-    when its adjacency entry is set.
+    when its adjacency entry is set.  ``positions`` has shape (..., m, 2),
+    so one call tests the pairs in one frame (m, 2) or in a stack of frames,
+    and the result has shape (..., len(rows)).
     """
     pos = np.asarray(positions, dtype=float)
-    dist_sq = pos[rows, 0] - pos[cols, 0]
+    dist_sq = pos[..., rows, 0] - pos[..., cols, 0]
     np.multiply(dist_sq, dist_sq, out=dist_sq)
-    dy = pos[rows, 1] - pos[cols, 1]
+    dy = pos[..., rows, 1] - pos[..., cols, 1]
     np.multiply(dy, dy, out=dy)
     dist_sq += dy
     return dist_sq <= comm_range * comm_range

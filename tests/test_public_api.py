@@ -1,7 +1,13 @@
-"""Every name the demos and the README import exists, and every README CLI line parses."""
+"""Every name the demos and the README import exists, and every README CLI line parses.
+
+Importing the package also stays light.
+"""
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +64,20 @@ def test_readme_cli_lines_were_found():
 def test_readme_cli_line_parses(line):
     args = build_parser().parse_args(shlex.split(line)[1:])
     assert callable(args.func)
+
+
+# Slow-to-import modules the package does not need.  Every benchmark
+# workload's set-up time includes the package import.
+HEAVY_MODULES = ("scipy.spatial", "scipy.optimize", "scipy.stats", "numba", "pandas",
+                 "networkx", "sklearn")
+
+
+def test_import_loads_no_heavy_module():
+    code = ("import sys, resilinet; "
+            f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    src = str(Path(resilinet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120).stdout.split()
+    assert loaded == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resilinet import swarm
+from resilinet import simulate, swarm
 from resilinet.damage import apply_damage
 from resilinet.gcn import Hyperparams, pretrain
 from resilinet.planner import (METHOD_CENTERING, RecoveryPlan, plan_centering,
@@ -61,8 +61,8 @@ def flights(draw):
     """(start, targets, comm_range, max_speed, step_s) of one of six kinds of flight.
 
     centering, perturbed: survivors of a random damage flying to the centroid
-    plan or a jittered shrink of it.  shuffled: the same targets dealt to the
-    wrong nodes, so paths cross and forest links break.  permuted: a sparse
+    plan or a jittered shrink of it.  shuffled: the perturbed targets dealt to
+    the wrong nodes, so paths cross and forest links break.  permuted: a sparse
     connected swarm whose nodes swap places, so it splits on the way and
     joins again.  grid: integer points and range 5, so pairs sit exactly
     at the range.  duplicate: nodes that start at one point, or are sent to one.
@@ -87,11 +87,11 @@ def flights(draw):
     topology, scenario = draw(damage_cases())
     start = topology.positions[scenario.remaining]
     targets = plan_centering(topology, scenario, max_speed=10.0).targets
-    if kind == "perturbed":
+    if kind in ("perturbed", "shuffled"):
         center = start.mean(axis=0)
         targets = (center + draw(st.floats(0.0, 0.6)) * (start - center)
                    + rng.normal(scale=draw(st.floats(0.0, 30.0)), size=start.shape))
-    elif kind == "shuffled":
+    if kind == "shuffled":
         targets = targets[rng.permutation(len(targets))]
     elif kind == "duplicate":
         # Nodes that share a start point part; nodes that share a target meet.
@@ -106,6 +106,15 @@ class TestSimulatorProperties:
     @given(flights())
     def test_counts_equal_a_dense_labeling_of_every_step(self, flight):
         assert_matches_dense_labeling(*flight)
+
+    # Most drawn flights are shorter than one block of the default size.
+    @pytest.mark.parametrize("block_steps", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(flight=flights())
+    def test_counts_equal_a_dense_labeling_in_short_blocks(self, block_steps, flight):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "BLOCK_STEPS", block_steps)
+            assert_matches_dense_labeling(*flight)
 
     @settings(max_examples=30, deadline=None)
     @given(damage_cases())
@@ -291,6 +300,21 @@ class TestSimulateRecovery:
         assert simulate_recovery(start, still_plan(start), max_speed, step_s, 120.0,
                                  1.0).subnet_series.tolist() == [1]
 
+    # Unchecked, a NaN target makes no step, a NaN start never connects and
+    # an infinite target needs more than MAX_STEPS steps.
+    @pytest.mark.parametrize("field, value, message", [
+        ("targets", math.nan, "plan targets must be finite"),
+        ("start", math.nan, "start positions must be finite"),
+        ("targets", math.inf, "plan targets must be finite"),
+    ], ids=["nan-target", "nan-start", "inf-target"])
+    def test_rejects_a_non_finite_start_or_target(self, field, value, message):
+        points = {"start": np.array([[0.0, 0.0], [200.0, 0.0]]),
+                  "targets": np.array([[0.0, 0.0], [100.0, 0.0]])}
+        points[field][1, 0] = value
+        with pytest.raises(ValueError, match=message):
+            simulate_recovery(points["start"], plan_to(points["targets"]), 10.0, 0.1,
+                              120.0, 100.0)
+
     @pytest.mark.parametrize("t_max", [float("nan"), -1.0, float("inf")])
     def test_rejects_bad_budget(self, t_max):
         start = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -334,6 +358,48 @@ class TestLabelingCertificate:
                                            [[0.0, 0.0], [150.0, 0.0]])
         assert series.tolist() == [1] * 13 + [2] * 3
         assert labelings == 2
+
+    def test_a_pair_links_at_the_last_step_of_a_block(self, monkeypatch):
+        # Head on, closing 20 m a step: 740 m apart after the block's first
+        # step, so r + 2 * reach * (B - 1) away, and exactly in range at step
+        # B, where both arrive.  A bound without the factor 2 drops the pair.
+        gap = 120.0 + 20.0 * simulate.BLOCK_STEPS
+        series, labelings = self.labelings(monkeypatch, [[0.0, 0.0], [gap, 0.0]],
+                                           [[gap / 2 - 60.0, 0.0], [gap / 2 + 60.0, 0.0]])
+        assert series.tolist() == [2] * simulate.BLOCK_STEPS + [1]
+        assert labelings == 2
+
+    def test_a_forest_link_breaks_at_the_first_step_of_a_block(self, monkeypatch):
+        # 1 m steps away from a still node: 119.5 m apart at the block's
+        # last step, 120.5 m at the next block's first.
+        start = [[0.0, 0.0], [119.5 - simulate.BLOCK_STEPS, 0.0]]
+        targets = [[0.0, 0.0], [200.0, 0.0]]
+        calls = count_calls(monkeypatch, swarm.component_labels)
+        simulate_recovery(np.asarray(start), plan_to(targets), 1.0, 1.0, 120.0, t_max=1e9)
+        assert len(calls) == 2
+        sim = assert_matches_dense_labeling(start, targets, 120.0, max_speed=1.0, step_s=1.0)
+        assert sim.subnet_series.tolist().index(2) == simulate.BLOCK_STEPS + 1
+
+    def test_a_node_on_its_target_takes_the_target_bits(self):
+        # -0.0 == 0.0, but the first step writes every arrived node's target.
+        sim = assert_matches_dense_labeling([[-0.0, 0.0], [50.0, 0.0]],
+                                            [[0.0, 0.0], [60.0, 0.0]], 120.0)
+        assert not np.signbit(sim.final_positions[0, 0])
+
+    def test_history_is_the_same_in_any_block_size(self, monkeypatch):
+        topology = generate_swarm(40, 200.0, 120.0, seed=3)
+        scenario = apply_damage(topology, 20, seed=4)
+        start = topology.positions[scenario.remaining]
+        plan = plan_centering(topology, scenario)
+
+        def history():
+            return simulate_recovery(start, plan, 10.0, 0.1, topology.comm_range,
+                                     t_max=1e9, keep_history=True).history
+
+        default = history()
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 1)
+        assert default.shape[0] > 2 * simulate.BLOCK_STEPS
+        assert default.tobytes() == history().tobytes()
 
     def test_few_full_labelings_in_a_centering_trial(self, monkeypatch):
         topology = generate_swarm(200, 200.0, 120.0, seed=1)
