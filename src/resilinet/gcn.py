@@ -8,8 +8,8 @@ is rescaled to position range.  Each branch block of the output is a
 candidate target-position matrix; the loss is the worst remaining-node
 flight time plus a penalty for every extra sub-net in the candidate graph.
 
-Everything is hand-rolled numpy: the forward pass caches what reverse mode
-needs, gradients are derived manually (the sub-net penalty is piecewise
+Everything is hand-rolled numpy: the forward pass keeps what reverse mode
+needs in a preallocated workspace, gradients are derived manually (the sub-net penalty is piecewise
 constant, so training uses a spanning-tree gap surrogate whose gradient
 pulls the closest node pair of disconnected components together), and the
 optimizer is a plain Adam that updates the weights in place.
@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .damage import DamageScenario, InputGraph, apply_damage, build_input_graph
@@ -192,7 +193,12 @@ class BlockTrace:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything backward needs to replay the forward pass exactly."""
+    """Everything backward needs to replay the forward pass exactly.
+
+    Its arrays other than ``final_act`` and ``output`` belong to the
+    workspace the forward ran in, so the next forward in that workspace
+    overwrites them (see ``Workspace``).
+    """
 
     first_mid: np.ndarray
     first_act: np.ndarray
@@ -203,15 +209,91 @@ class ForwardTrace:
     scale: float
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """The arrays that ``forward`` and ``backward`` overwrite instead of allocating.
+
+    A training loop makes one for its batch and passes it to every call, so
+    the first iteration faults its pages in and no later one allocates a
+    (rows, d) array.  It holds one forward trace (the first layer, each
+    block's four arrays, the dropout masks of blocks >= 1 and
+    ``final_mid``), the weight gradients and backward's scratch: ``first``,
+    ``product`` and ``spread``, the output of its sparse products.  The
+    forward's block input and its dropped copy live in ``first`` and its
+    float64 dropout draw in ``draw``, which shares the memory of ``product``
+    (and of ``spread`` in float32).  No trace array shares scratch, so a
+    trace stays whole until the next forward in the same workspace; one that
+    takes it as its ``prefix`` keeps its first layer and block 0 and
+    overwrites the rest.
+    """
+
+    first_mid: np.ndarray
+    first_act: np.ndarray
+    blocks: tuple[BlockTrace, ...]
+    final_mid: np.ndarray
+    grads: tuple[np.ndarray, ...]
+    first: np.ndarray
+    product: np.ndarray
+    spread: np.ndarray
+    active: np.ndarray
+    draw: np.ndarray
+
+    @classmethod
+    def for_batch(cls, weights: ModelWeights, rows: int) -> "Workspace":
+        """Arrays for ``rows`` batch rows in the weights' dtype, gradients like the weights."""
+        shape, dtype = (rows, weights.hidden_dim), weights.matrices[0].dtype
+
+        def new():
+            return np.empty(shape, dtype)
+
+        blocks = tuple(BlockTrace(new() if l > 0 else None, new(), new(), new(), new())
+                       for l in range(weights.blocks))
+        # product and spread, back to back; the float64 draw spans their
+        # first rows * d * 8 bytes, which is both in float32.
+        pair = np.empty(2 * rows * weights.hidden_dim, dtype)
+        product, spread = (half.reshape(shape) for half in np.split(pair, 2))
+        return cls(first_mid=np.empty((rows, 2), dtype), first_act=new(), blocks=blocks,
+                   final_mid=new(), grads=tuple(np.empty_like(m) for m in weights.matrices),
+                   first=new(), product=product, spread=spread,
+                   active=np.empty(shape, dtype=bool),
+                   draw=pair.view(np.float64)[:product.size].reshape(shape))
+
+
+def _kernel_product(kernel: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``kernel @ x`` written into ``out``, a C-contiguous array of their dtype; returns out.
+
+    It zeroes ``out`` and calls scipy's CSR routine as ``kernel @ x`` does
+    (scipy 1.17's ``_cs_matrix._matmul_multivector``, or ``_matmul_vector``
+    for one column), so the bytes are the same.
+    """
+    rows, cols = kernel.shape
+    out.fill(0)
+    if x.shape[1] == 1:
+        _sparsetools.csr_matvec(rows, cols, kernel.indptr, kernel.indices, kernel.data,
+                                x.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(rows, cols, x.shape[1], kernel.indptr, kernel.indices,
+                                 kernel.data, x.ravel(), out.ravel())
+    return out
+
+
+def _relu_product(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.maximum(x @ w, 0.0)`` written into ``out``; returns out."""
+    np.matmul(x, w, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
 def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
             config: Hyperparams, train: bool = False,
             rng: np.random.Generator | None = None,
-            prefix: ForwardTrace | None = None) -> tuple[np.ndarray, ForwardTrace]:
+            prefix: ForwardTrace | None = None, *,
+            workspace: Workspace | None = None) -> tuple[np.ndarray, ForwardTrace]:
     """Run the network on the batch; returns (output positions, trace).
 
-    Computes in the dtype of the weights, which the kernel should share: the
-    tiled input rows and the dropout mask (drawn as float64) are cast to it.
-    The output positions are float64.
+    Computes in the dtype of the weights, which the CSR kernel must share:
+    the tiled input rows and the dropout mask (drawn as float64) are cast to
+    it.  The output positions are float64.  The trace's arrays are those of
+    ``workspace`` (a fresh one when None).
 
     Dropout is applied between residual blocks in train mode only (masks are
     recorded in the trace); eval mode is fully deterministic.  Raises
@@ -223,40 +305,42 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
     supplies them instead of recomputing them; the result is bit-identical.
     """
     mats = weights.matrices
-    needs_rng = train and config.dropout > 0.0 and weights.blocks > 1
-    if needs_rng and rng is None:
+    dropping = train and config.dropout > 0.0
+    if dropping and weights.blocks > 1 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
+    ws = (workspace if workspace is not None
+          else Workspace.for_batch(weights, seq.batch_features.shape[0]))
 
     x_rows, center, scale = normalize_features(seq.batch_features[:seq.n])
-    dtype = mats[0].dtype
     if prefix is None:
-        first_mid = kernel @ np.tile(x_rows, (seq.branches, 1)).astype(dtype, copy=False)
-        first_act = np.maximum(first_mid @ mats[0], 0.0)
+        tiled = np.tile(x_rows, (seq.branches, 1)).astype(mats[0].dtype, copy=False)
+        first_mid = _kernel_product(kernel, tiled, ws.first_mid)
+        first_act = _relu_product(first_mid, mats[0], ws.first_act)
         x = first_act
         block_traces = []
     else:
         first_mid, first_act = prefix.first_mid, prefix.first_act
         block_traces = [prefix.block_traces[0]]
-        x = block_traces[0].act_b + first_act
+        x = np.add(block_traces[0].act_b, first_act, out=ws.first)
 
     for l in range(len(block_traces), weights.blocks):
-        if train and config.dropout > 0.0 and l > 0:
-            keep = 1.0 - config.dropout
-            mask = ((rng.random(x.shape) >= config.dropout) / keep).astype(dtype, copy=False)
-            dropped = x * mask
-        else:
-            mask = None
-            dropped = x
-        w_a = mats[1 + 2 * l]
-        w_b = mats[2 + 2 * l]
-        mid_a = kernel @ dropped
-        act_a = np.maximum(mid_a @ w_a, 0.0)
-        mid_b = kernel @ act_a
-        act_b = np.maximum(mid_b @ w_b, 0.0)
-        x = act_b + first_act
+        buf = ws.blocks[l]
+        mask = None
+        if dropping and l > 0:
+            # x is ws.first here: block 0 wrote it.
+            mask = buf.dropout_mask
+            rng.random(out=ws.draw)
+            np.greater_equal(ws.draw, config.dropout, out=ws.active)
+            np.divide(ws.active, 1.0 - config.dropout, out=mask)
+            np.multiply(x, mask, out=x)
+        mid_a = _kernel_product(kernel, x, buf.mid_a)
+        act_a = _relu_product(mid_a, mats[1 + 2 * l], buf.act_a)
+        mid_b = _kernel_product(kernel, act_a, buf.mid_b)
+        act_b = _relu_product(mid_b, mats[2 + 2 * l], buf.act_b)
+        x = np.add(act_b, first_act, out=ws.first)
         block_traces.append(BlockTrace(mask, mid_a, act_a, mid_b, act_b))
 
-    final_mid = kernel @ x
+    final_mid = _kernel_product(kernel, x, ws.final_mid)
     final_act = np.tanh(final_mid @ mats[-1])
     output = upscale_features(final_act, center, scale)
     if not np.all(np.isfinite(output)):
@@ -270,51 +354,30 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
     return output, trace
 
 
-@dataclass(frozen=True)
-class BackwardBuffers:
-    """Arrays that ``backward`` overwrites instead of allocating on every call.
-
-    A training loop makes one set for its batch and passes it to each
-    ``backward`` call, so every iteration's weight gradients and largest
-    temporaries reuse the same pages.  Allocated fresh per iteration, they
-    are freed at the top of the heap, the allocator returns them to the
-    system, and the next iteration faults them in again.
-    """
-
-    grads: tuple[np.ndarray, ...]
-    first: np.ndarray
-    product: np.ndarray
-    active: np.ndarray
-
-    @classmethod
-    def for_batch(cls, weights: ModelWeights, rows: int) -> "BackwardBuffers":
-        """Gradients like the weights, and (rows, d) scratch in their dtype and in bool."""
-        shape, dtype = (rows, weights.hidden_dim), weights.matrices[0].dtype
-        return cls(grads=tuple(np.empty_like(m) for m in weights.matrices),
-                   first=np.empty(shape, dtype), product=np.empty(shape, dtype),
-                   active=np.empty(shape, dtype=bool))
-
-
 def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
              grad_output: np.ndarray,
-             buffers: BackwardBuffers | None = None) -> list[np.ndarray]:
+             workspace: Workspace | None = None) -> list[np.ndarray]:
     """Reverse-mode gradients of every weight matrix given d(loss)/d(output).
 
     The kernel is symmetric, so its transpose in the chain is itself.  It
     computes in the weights' dtype: the float64 output gradient is cast to it
-    after the tanh step.  The gradients are the arrays of ``buffers`` (a fresh
-    set when None), which the next call with the same buffers overwrites.
+    after the tanh step.  The gradients are the arrays of ``workspace`` (a
+    fresh one when None), which the next call with it overwrites; the
+    trace's arrays are only read.
     """
     mats = weights.matrices
-    if buffers is None:
-        buffers = BackwardBuffers.for_batch(weights, trace.first_act.shape[0])
-    grads, active = buffers.grads, buffers.active
+    if workspace is None:
+        workspace = Workspace.for_batch(weights, trace.first_act.shape[0])
+    grads, active, product, spread = (workspace.grads, workspace.active, workspace.product,
+                                      workspace.spread)
     g_final = grad_output * (trace.scale + 1.0)
     g_zq = (g_final * (1.0 - trace.final_act ** 2)).astype(mats[-1].dtype, copy=False)
     np.matmul(trace.final_mid.T, g_zq, out=grads[-1])
 
-    g_x = kernel @ np.matmul(g_zq, mats[-1].T, out=buffers.product)
-    g_first = buffers.first
+    # Each product with the kernel reads ``product`` and overwrites ``spread``:
+    # the gradient it replaces has gone into ``product`` and the weight gradient.
+    g_x = _kernel_product(kernel, np.matmul(g_zq, mats[-1].T, out=product), spread)
+    g_first = workspace.first
     g_first.fill(0.0)
     for l in range(weights.blocks - 1, -1, -1):
         bt = trace.block_traces[l]
@@ -323,10 +386,10 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
         g_first += g_x
         g_zb = np.multiply(g_x, np.greater(bt.act_b, 0, out=active), out=g_x)
         np.matmul(bt.mid_b.T, g_zb, out=grads[2 + 2 * l])
-        g_a = kernel @ np.matmul(g_zb, w_b.T, out=buffers.product)
+        g_a = _kernel_product(kernel, np.matmul(g_zb, w_b.T, out=product), spread)
         g_za = np.multiply(g_a, np.greater(bt.act_a, 0, out=active), out=g_a)
         np.matmul(bt.mid_a.T, g_za, out=grads[1 + 2 * l])
-        g_in = kernel @ np.matmul(g_za, w_a.T, out=buffers.product)
+        g_in = _kernel_product(kernel, np.matmul(g_za, w_a.T, out=product), spread)
         if bt.dropout_mask is not None:
             g_in *= bt.dropout_mask
         if l == 0:
@@ -534,23 +597,23 @@ def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
 
 def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence,
                kernel, start_remaining: np.ndarray, comm_range: float,
-               config: Hyperparams, rng: np.random.Generator, buffers: BackwardBuffers,
-               prefix: ForwardTrace | None = None) -> tuple[LossHead, ForwardTrace]:
+               config: Hyperparams, rng: np.random.Generator, workspace: Workspace,
+               prefix: ForwardTrace | None = None) -> LossHead:
     """One train-mode forward/backward/Adam update of ``weights`` and ``state`` in place.
 
-    Returns the loss head and the forward trace; ``buffers`` goes to
-    ``backward`` and ``prefix`` to ``forward``.  The gap penalty is one
-    ``lagrange_s`` per communication range of residual component gap.
+    Returns the loss head.  Forward and backward run in ``workspace``, and
+    ``prefix`` goes to ``forward``.  The gap penalty is one ``lagrange_s``
+    per communication range of residual component gap.
     """
     output, trace = forward(weights, seq, kernel, config, train=True, rng=rng,
-                            prefix=prefix)
+                            prefix=prefix, workspace=workspace)
     head = loss_head(
         output, seq.n, seq.n_remaining, start_remaining, config.max_speed,
         comm_range, config.lagrange_s, config.lagrange_s / comm_range,
     )
-    grads = backward(trace, weights, kernel, head.grad_output, buffers)
+    grads = backward(trace, weights, kernel, head.grad_output, workspace)
     adam_step(weights, grads, state, config)
-    return head, trace
+    return head
 
 
 @dataclass(frozen=True)
@@ -593,19 +656,14 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     rng = np.random.default_rng(dropout_seed)
     start_remaining = input_graph.features[: input_graph.n_remaining]
 
-    buffers = BackwardBuffers.for_batch(weights, seq.batch_features.shape[0])
+    # Every iteration's forward and backward overwrite this one workspace.
+    workspace = Workspace.for_batch(weights, seq.batch_features.shape[0])
 
     curve = []
     best_flight: float | None = None
-    # Each step's trace is held until the next step has made its own (solve
-    # holds its eval trace the same way), so two traces take turns in the
-    # same pages.  A trace freed before the next forward would leave the heap
-    # top free, and the allocator would return it to the system and fault it
-    # in again on every iteration.
-    trace: ForwardTrace | None = None
     for iteration in range(1, config.pretrain_iters + 1):
-        head, trace = train_step(
-            weights, state, seq, kernel, start_remaining, comm_range, config, rng, buffers
+        head = train_step(
+            weights, state, seq, kernel, start_remaining, comm_range, config, rng, workspace
         )
         feasible = head.metrics.subnet_counts == 1
         if feasible.any():
@@ -656,7 +714,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     made once per call, and the network runs on a float32 copy of the kernel.
     After each train-mode step, an eval-mode forward scores every branch; the
     best feasible candidate per branch over all iterations is retained.  That
-    eval trace is the next train forward's ``prefix``.  Runs exactly
+    eval trace is the next train forward's ``prefix``, and both run in one
+    ``Workspace``, so the solver holds one forward trace.  Runs exactly
     ``config.online_iters`` iterations, or none when the survivors start
     connected.  An entirely infeasible run is a value, not an error: every
     time is ``inf``.  The search chooses no branch; ``planner.plan_learned``
@@ -675,16 +734,20 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     weights = replace(weights, matrices=tuple(m.astype(NETWORK_DTYPE) for m in weights.matrices))
     kernel = kernel.astype(NETWORK_DTYPE)
     state = AdamState.zeros(weights)
-    buffers = BackwardBuffers.for_batch(weights, seq.batch_features.shape[0])
+    workspace = Workspace.for_batch(weights, seq.batch_features.shape[0])
     rng = np.random.default_rng(seed)
     eval_trace: ForwardTrace | None = None
     best_times = np.full(branches, np.inf)
     best_targets: list[np.ndarray | None] = [None] * branches
 
     for _ in range(config.online_iters):
+        # The eval forward wrote the whole workspace; this train forward keeps
+        # its first layer and block 0 and overwrites the rest, which the
+        # scored eval output no longer needs.
         train_step(weights, state, seq, kernel, start_remaining, comm_range, config, rng,
-                   buffers, prefix=eval_trace)
-        output, eval_trace = forward(weights, seq, kernel, config, train=False)
+                   workspace, prefix=eval_trace)
+        output, eval_trace = forward(weights, seq, kernel, config, train=False,
+                                     workspace=workspace)
         metrics = per_branch_metrics(
             output, n, n_r, start_remaining, config.max_speed, comm_range
         )

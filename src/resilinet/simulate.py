@@ -76,7 +76,8 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     motion is overshoot-free and distance-to-target is non-increasing.  The
     series keeps going after first connection, to plan completion.  A plan
     that needs more than ``MAX_STEPS`` steps is refused before the flight,
-    and so is a non-finite start or target.
+    and so are a non-finite start or target and a start and target whose
+    distance overflows.
 
     Each step's sub-net count is the one a fresh labeling of the disk graph
     would give, but most steps are decided by a certificate kept from the
@@ -117,7 +118,11 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
         raise ValueError("plan targets must be finite")
 
     reach = max_speed * step_s
-    max_dist = float(np.linalg.norm(targets - positions, axis=1).max())
+    with np.errstate(over="ignore"):
+        max_dist = float(np.linalg.norm(targets - positions, axis=1).max())
+    if max_dist == math.inf:
+        raise ValueError("a start position and its plan target are too far apart: "
+                         "their distance overflows float64")
     # A product, not a quotient: a tiny reach would overflow the step count.
     if max_dist > MAX_STEPS * reach:
         raise ValueError(f"step_s={step_s!r} is too small: the plan needs more than "

@@ -613,6 +613,83 @@ class TestNetworkDtype:
             assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
 
 
+def _trace_arrays(trace):
+    """Every array of a forward trace, in a fixed order; a missing mask is None."""
+    arrays = [trace.first_mid, trace.first_act]
+    for bt in trace.block_traces:
+        arrays.extend([bt.dropout_mask, bt.mid_a, bt.act_a, bt.mid_b, bt.act_b])
+    return arrays + [trace.final_mid, trace.final_act, trace.output]
+
+
+def _workspace_arrays(workspace):
+    arrays = [workspace.first_mid, workspace.first_act, workspace.final_mid,
+              *workspace.grads, workspace.first, workspace.product, workspace.spread,
+              workspace.active, workspace.draw]
+    for bt in workspace.blocks:
+        arrays.extend(a for a in (bt.dropout_mask, bt.mid_a, bt.act_a, bt.mid_b, bt.act_b)
+                      if a is not None)
+    return arrays
+
+
+class TestWorkspace:
+    """Forward and backward in one workspace give the bytes of fresh arrays."""
+
+    CONFIG = Hyperparams(hidden_dim=8, blocks=3, dropout=0.3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("columns", [1, 2, 8])
+    def test_kernel_product_is_the_sparse_matmul(self, dtype, columns):
+        _, _, _, seq = small_case(33, n=16, n_d=7)
+        kernel = build_kernel(seq).astype(dtype)
+        x = np.random.default_rng(columns).normal(size=(kernel.shape[0], columns)).astype(dtype)
+        out = np.full_like(x, np.nan)
+        assert gcn._kernel_product(kernel, x, out) is out
+        expected = kernel @ x
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_calls_in_one_workspace_match_calls_with_fresh_arrays(self, dtype):
+        topo, _, graph_in, seq = small_case(33, n=16, n_d=7, branches=3)
+        kernel = build_kernel(seq).astype(dtype)
+        rows = seq.batch_features.shape[0]
+        first = _as_dtype(ModelWeights.init_scaled_uniform(8, 3, seed=4), dtype)
+        second = _as_dtype(ModelWeights.init_scaled_uniform(8, 3, seed=5), dtype)
+        workspace = gcn.Workspace.for_batch(first, rows)
+        owned = _workspace_arrays(workspace)
+        grad_output = np.random.default_rng(7).normal(size=(rows, 2))
+        rng_shared, rng_fresh = np.random.default_rng(6), np.random.default_rng(6)
+
+        def both(weights, train, rng_pair=(None, None), prefixes=(None, None)):
+            """(output, trace, gradients) in the workspace, then with fresh arrays."""
+            runs = []
+            for rng, prefix, ws in zip(rng_pair, prefixes, (workspace, None)):
+                out, trace = forward(weights, seq, kernel, self.CONFIG, train=train, rng=rng,
+                                     prefix=prefix, workspace=ws)
+                grads = backward(trace, weights, kernel, grad_output, ws)
+                runs.append((out, trace, grads))
+            (out, trace, grads), (out_f, trace_f, grads_f) = runs
+            assert out.tobytes() == out_f.tobytes()
+            for a, b in zip(_trace_arrays(trace), _trace_arrays(trace_f)):
+                assert (a is None) == (b is None)
+                assert a is None or a.tobytes() == b.tobytes()
+            for g, g_f in zip(grads, grads_f):
+                assert g.tobytes() == g_f.tobytes()
+            for array in [a for a in _trace_arrays(trace)[:-2] if a is not None] + grads:
+                assert any(np.shares_memory(array, w) for w in owned)
+            return trace, trace_f
+
+        # Train with dropout, eval, then train with the eval trace as prefix,
+        # each on weights that differ from the previous call's.
+        trace, _ = both(first, True, (rng_shared, rng_fresh))
+        assert [bt.dropout_mask is None for bt in trace.block_traces] == [True, False, False]
+        eval_trace, eval_trace_f = both(second, False)
+        assert all(bt.dropout_mask is None for bt in eval_trace.block_traces)
+        trace, _ = both(second, True, (rng_shared, rng_fresh), (eval_trace, eval_trace_f))
+        assert trace.block_traces[0] is eval_trace.block_traces[0]
+        assert trace.block_traces[1].mid_a is eval_trace.block_traces[1].mid_a
+
+
 class TestSolve:
     def test_already_connected_returns_zero_motion(self):
         topo = generate_swarm(12, 200.0, 120.0, seed=30)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,7 +316,17 @@ class TestSimulateRecovery:
             simulate_recovery(points["start"], plan_to(points["targets"]), 10.0, 0.1,
                               120.0, 100.0)
 
-    @pytest.mark.parametrize("t_max", [float("nan"), -1.0, float("inf")])
+    def test_rejects_a_start_and_target_whose_distance_overflows(self):
+        # Both points are finite, but their difference is not.
+        start = np.array([[1e308, 0.0], [0.0, 0.0]])
+        plan = plan_to([[-1e308, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="start position and its plan target are "
+                                                 "too far apart"):
+                simulate_recovery(start, plan, 10.0, 0.1, 120.0, 100.0)
+
+    @pytest.mark.parametrize("t_max",[float("nan"), -1.0, float("inf")])
     def test_rejects_bad_budget(self, t_max):
         start = np.array([[0.0, 0.0], [10.0, 0.0]])
         with pytest.raises(ValueError, match="t_max"):
