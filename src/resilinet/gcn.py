@@ -263,17 +263,14 @@ def _kernel_product(kernel: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -
     """``kernel @ x`` written into ``out``, a C-contiguous array of their dtype; returns out.
 
     It zeroes ``out`` and calls scipy's CSR routine as ``kernel @ x`` does
-    (scipy 1.17's ``_cs_matrix._matmul_multivector``, or ``_matmul_vector``
-    for one column), so the bytes are the same.
+    (scipy 1.17's ``_cs_matrix._matmul_multivector``), so the bytes are the
+    same.  For one column ``kernel @ x`` calls ``csr_matvec`` instead, which
+    adds in the same order.
     """
     rows, cols = kernel.shape
     out.fill(0)
-    if x.shape[1] == 1:
-        _sparsetools.csr_matvec(rows, cols, kernel.indptr, kernel.indices, kernel.data,
-                                x.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(rows, cols, x.shape[1], kernel.indptr, kernel.indices,
-                                 kernel.data, x.ravel(), out.ravel())
+    _sparsetools.csr_matvecs(rows, cols, x.shape[1], kernel.indptr, kernel.indices,
+                             kernel.data, x.ravel(), out.ravel())
     return out
 
 

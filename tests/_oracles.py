@@ -15,6 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
+from resilinet.gcn import normalize_features, upscale_features
 from resilinet.swarm import _pairwise_sq_distances, build_adjacency, count_subnets, degree_stats
 
 
@@ -180,6 +181,42 @@ def dense_forward_reference(matrices, features, biadjacencies, step):
         final = np.tanh(kernels[i] @ x[i] @ matrices[-1])
         out_blocks.append((scale + 1.0) * final + center)
     return np.vstack(out_blocks)
+
+
+def allocating_forward(weights, seq, kernel, config, train=False, rng=None):
+    """The network forward with a fresh array for every intermediate.
+
+    The package's former ``forward`` without its ``prefix``: sparse products
+    are ``kernel @ x`` and the dropout mask is drawn with ``rng.random(shape)``.
+    Returns the output and the trace's arrays in order: first_mid,
+    first_act, then each block's mask (None without dropout), mid_a, act_a,
+    mid_b and act_b, then final_mid, final_act and the output.
+    """
+    mats = weights.matrices
+    x_rows, center, scale = normalize_features(seq.batch_features[:seq.n])
+    dtype = mats[0].dtype
+    first_mid = kernel @ np.tile(x_rows, (seq.branches, 1)).astype(dtype, copy=False)
+    first_act = np.maximum(first_mid @ mats[0], 0.0)
+    arrays = [first_mid, first_act]
+    x = first_act
+    for l in range(weights.blocks):
+        if train and config.dropout > 0.0 and l > 0:
+            keep = 1.0 - config.dropout
+            mask = ((rng.random(x.shape) >= config.dropout) / keep).astype(dtype, copy=False)
+            dropped = x * mask
+        else:
+            mask = None
+            dropped = x
+        mid_a = kernel @ dropped
+        act_a = np.maximum(mid_a @ mats[1 + 2 * l], 0.0)
+        mid_b = kernel @ act_a
+        act_b = np.maximum(mid_b @ mats[2 + 2 * l], 0.0)
+        x = act_b + first_act
+        arrays.extend([mask, mid_a, act_a, mid_b, act_b])
+    final_mid = kernel @ x
+    final_act = np.tanh(final_mid @ mats[-1])
+    output = upscale_features(final_act, center, scale)
+    return output, arrays + [final_mid, final_act, output]
 
 
 def functional_adam_step(weights, grads, state, config):

@@ -21,9 +21,9 @@ from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
 from resilinet.swarm import (SwarmTopology, build_adjacency, component_labels, count_subnets,
                              diameter_hops, generate_swarm)
 
-from _oracles import (boolean_power_reachability, component_pair_gap_gradient,
-                      dense_forward_reference, dense_hadamard_damage_graph,
-                      functional_adam_step)
+from _oracles import (allocating_forward, boolean_power_reachability,
+                      component_pair_gap_gradient, dense_forward_reference,
+                      dense_hadamard_damage_graph, functional_adam_step)
 from test_damage import damage_cases
 
 TINY = Hyperparams(hidden_dim=8, blocks=1, dropout=0.0, online_iters=30,
@@ -650,7 +650,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_calls_in_one_workspace_match_calls_with_fresh_arrays(self, dtype):
-        topo, _, graph_in, seq = small_case(33, n=16, n_d=7, branches=3)
+        _, _, _, seq = small_case(33, n=16, n_d=7, branches=3)
         kernel = build_kernel(seq).astype(dtype)
         rows = seq.batch_features.shape[0]
         first = _as_dtype(ModelWeights.init_scaled_uniform(8, 3, seed=4), dtype)
@@ -658,34 +658,34 @@ class TestWorkspace:
         workspace = gcn.Workspace.for_batch(first, rows)
         owned = _workspace_arrays(workspace)
         grad_output = np.random.default_rng(7).normal(size=(rows, 2))
-        rng_shared, rng_fresh = np.random.default_rng(6), np.random.default_rng(6)
+        # The workspace's calls, the fresh calls and the oracle draw masks alike.
+        rngs = [np.random.default_rng(6) for _ in range(3)]
 
-        def both(weights, train, rng_pair=(None, None), prefixes=(None, None)):
-            """(output, trace, gradients) in the workspace, then with fresh arrays."""
-            runs = []
-            for rng, prefix, ws in zip(rng_pair, prefixes, (workspace, None)):
-                out, trace = forward(weights, seq, kernel, self.CONFIG, train=train, rng=rng,
-                                     prefix=prefix, workspace=ws)
-                grads = backward(trace, weights, kernel, grad_output, ws)
-                runs.append((out, trace, grads))
-            (out, trace, grads), (out_f, trace_f, grads_f) = runs
-            assert out.tobytes() == out_f.tobytes()
-            for a, b in zip(_trace_arrays(trace), _trace_arrays(trace_f)):
-                assert (a is None) == (b is None)
-                assert a is None or a.tobytes() == b.tobytes()
-            for g, g_f in zip(grads, grads_f):
-                assert g.tobytes() == g_f.tobytes()
-            for array in [a for a in _trace_arrays(trace)[:-2] if a is not None] + grads:
+        def both(weights, train, prefixes=(None, None)):
+            """Traces in the workspace and with fresh arrays; both must equal the oracle's."""
+            rng_ws, rng_fresh, rng_oracle = rngs if train else (None, None, None)
+            _, expected = allocating_forward(weights, seq, kernel, self.CONFIG, train, rng_oracle)
+            traces, grads = [], []
+            for rng, prefix, ws in zip((rng_ws, rng_fresh), prefixes, (workspace, None)):
+                _, trace = forward(weights, seq, kernel, self.CONFIG, train=train, rng=rng,
+                                   prefix=prefix, workspace=ws)
+                for a, b in zip(_trace_arrays(trace), expected, strict=True):
+                    assert (a is None) == (b is None)
+                    assert a is None or a.tobytes() == b.tobytes()
+                traces.append(trace)
+                grads.append(backward(trace, weights, kernel, grad_output, ws))
+            for g, g_fresh in zip(*grads):
+                assert g.tobytes() == g_fresh.tobytes()
+            for array in [a for a in _trace_arrays(traces[0])[:-2] if a is not None] + grads[0]:
                 assert any(np.shares_memory(array, w) for w in owned)
-            return trace, trace_f
+            return traces
 
         # Train with dropout, eval, then train with the eval trace as prefix,
         # each on weights that differ from the previous call's.
-        trace, _ = both(first, True, (rng_shared, rng_fresh))
+        trace, _ = both(first, True)
         assert [bt.dropout_mask is None for bt in trace.block_traces] == [True, False, False]
-        eval_trace, eval_trace_f = both(second, False)
-        assert all(bt.dropout_mask is None for bt in eval_trace.block_traces)
-        trace, _ = both(second, True, (rng_shared, rng_fresh), (eval_trace, eval_trace_f))
+        eval_trace, eval_trace_fresh = both(second, False)
+        trace, _ = both(second, True, (eval_trace, eval_trace_fresh))
         assert trace.block_traces[0] is eval_trace.block_traces[0]
         assert trace.block_traces[1].mid_a is eval_trace.block_traces[1].mid_a
 
