@@ -12,12 +12,15 @@ Everything is hand-rolled numpy: the forward pass keeps what reverse mode
 needs in a preallocated workspace, gradients are derived manually (the sub-net penalty is piecewise
 constant, so training uses a spanning-tree gap surrogate whose gradient
 pulls the closest node pair of disconnected components together), and the
-optimizer is a plain Adam that updates the weights in place.
+optimizer is a plain Adam that updates the weights in place.  A training
+loop hands the weight gradients and half of Adam to a second thread, its
+lane, so that work runs beside the backward chain.
 """
 from __future__ import annotations
 
 import base64
 import math
+from concurrent import futures
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -218,10 +221,11 @@ class Workspace:
     (rows, d) array.  It holds one forward trace (the first layer, each
     block's four arrays, the dropout masks of blocks >= 1 and
     ``final_mid``), the weight gradients and backward's scratch: ``first``,
-    ``product`` and ``spread``, the output of its sparse products.  The
-    forward's block input and its dropped copy live in ``first`` and its
-    float64 dropout draw in ``draw``, which shares the memory of ``product``
-    (and of ``spread`` in float32).  No trace array shares scratch, so a
+    ``product``, and ``spread`` and ``spread_a``, which take turns as the
+    output of its sparse products.  The forward's block input and its
+    dropped copy live in ``first`` and its float64 dropout draw in ``draw``,
+    which shares the memory of ``product`` (and of ``spread`` in float32).
+    No trace array shares scratch, so a
     trace stays whole until the next forward in the same workspace; one that
     takes it as its ``prefix`` keeps its first layer and block 0 and
     overwrites the rest.
@@ -235,6 +239,7 @@ class Workspace:
     first: np.ndarray
     product: np.ndarray
     spread: np.ndarray
+    spread_a: np.ndarray
     active: np.ndarray
     draw: np.ndarray
 
@@ -254,9 +259,21 @@ class Workspace:
         product, spread = (half.reshape(shape) for half in np.split(pair, 2))
         return cls(first_mid=np.empty((rows, 2), dtype), first_act=new(), blocks=blocks,
                    final_mid=new(), grads=tuple(np.empty_like(m) for m in weights.matrices),
-                   first=new(), product=product, spread=spread,
+                   first=new(), product=product, spread=spread, spread_a=new(),
                    active=np.empty(shape, dtype=bool),
                    draw=pair.view(np.float64)[:product.size].reshape(shape))
+
+
+class _InlineLane(futures.Executor):
+    """The lane of a caller that gives none: runs each job when it is submitted."""
+
+    def submit(self, fn, /, *args, **kwargs) -> futures.Future:
+        job = futures.Future()
+        job.set_result(fn(*args, **kwargs))
+        return job
+
+
+_INLINE_LANE = _InlineLane()
 
 
 def _kernel_product(kernel: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -353,7 +370,8 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
 
 def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
              grad_output: np.ndarray,
-             workspace: Workspace | None = None) -> list[np.ndarray]:
+             workspace: Workspace | None = None, *,
+             lane: futures.Executor | None = None) -> list[np.ndarray]:
     """Reverse-mode gradients of every weight matrix given d(loss)/d(output).
 
     The kernel is symmetric, so its transpose in the chain is itself.  It
@@ -361,18 +379,28 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
     after the tanh step.  The gradients are the arrays of ``workspace`` (a
     fresh one when None), which the next call with it overwrites; the
     trace's arrays are only read.
+
+    The weight gradients of the blocks and of the projection run on
+    ``lane``, an executor with one worker (None runs each job when it is
+    submitted), while this thread goes on down the chain; all are done when
+    it returns.  Each is the same ``np.matmul`` on the same operands, so the
+    gradients do not depend on the lane.
     """
     mats = weights.matrices
     if workspace is None:
         workspace = Workspace.for_batch(weights, trace.first_act.shape[0])
-    grads, active, product, spread = (workspace.grads, workspace.active, workspace.product,
-                                      workspace.spread)
+    lane = lane or _INLINE_LANE
+    grads, active, product, spread, spread_a = (
+        workspace.grads, workspace.active, workspace.product, workspace.spread,
+        workspace.spread_a)
     g_final = grad_output * (trace.scale + 1.0)
     g_zq = (g_final * (1.0 - trace.final_act ** 2)).astype(mats[-1].dtype, copy=False)
-    np.matmul(trace.final_mid.T, g_zq, out=grads[-1])
-
-    # Each product with the kernel reads ``product`` and overwrites ``spread``:
-    # the gradient it replaces has gone into ``product`` and the weight gradient.
+    # Each product with the kernel reads ``product``.  A block's g_a goes to
+    # ``spread_a`` and every other gradient of the chain to ``spread``; the
+    # lane reads the one a weight gradient needs while the chain fills the
+    # other, and the chain waits for that job before overwriting it.  The
+    # projection's job reads neither, but is waited for like a block's.
+    reads_spread_a = lane.submit(np.matmul, trace.final_mid.T, g_zq, out=grads[-1])
     g_x = _kernel_product(kernel, np.matmul(g_zq, mats[-1].T, out=product), spread)
     g_first = workspace.first
     g_first.fill(0.0)
@@ -382,11 +410,15 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
         w_b = mats[2 + 2 * l]
         g_first += g_x
         g_zb = np.multiply(g_x, np.greater(bt.act_b, 0, out=active), out=g_x)
-        np.matmul(bt.mid_b.T, g_zb, out=grads[2 + 2 * l])
-        g_a = _kernel_product(kernel, np.matmul(g_zb, w_b.T, out=product), spread)
+        reads_spread = lane.submit(np.matmul, bt.mid_b.T, g_zb, out=grads[2 + 2 * l])
+        np.matmul(g_zb, w_b.T, out=product)
+        reads_spread_a.result()
+        g_a = _kernel_product(kernel, product, spread_a)
         g_za = np.multiply(g_a, np.greater(bt.act_a, 0, out=active), out=g_a)
-        np.matmul(bt.mid_a.T, g_za, out=grads[1 + 2 * l])
-        g_in = _kernel_product(kernel, np.matmul(g_za, w_a.T, out=product), spread)
+        reads_spread_a = lane.submit(np.matmul, bt.mid_a.T, g_za, out=grads[1 + 2 * l])
+        np.matmul(g_za, w_a.T, out=product)
+        reads_spread.result()
+        g_in = _kernel_product(kernel, product, spread)
         if bt.dropout_mask is not None:
             g_in *= bt.dropout_mask
         if l == 0:
@@ -396,6 +428,7 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
 
     g_z1 = np.multiply(g_first, np.greater(trace.first_act, 0, out=active), out=g_first)
     np.matmul(trace.first_mid.T, g_z1, out=grads[0])
+    reads_spread_a.result()
     return list(grads)
 
 
@@ -546,7 +579,7 @@ class AdamState:
 
 
 def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
-              config: Hyperparams) -> None:
+              config: Hyperparams, *, lane: futures.Executor | None = None) -> None:
     """Standard Adam update with bias correction, in place.
 
     Overwrites ``weights.matrices`` and the state's moment arrays and
@@ -554,21 +587,32 @@ def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
     copies them first.  Per element it computes
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in that order, so the result is
-    bit-identical to the out-of-place form.  Each matrix is updated in row
-    slices of about ``ADAM_SLICE_BYTES`` with two scratch buffers allocated
-    once per call, all in the weights' dtype.
+    bit-identical to the out-of-place form.  ``lane`` (as in ``backward``)
+    updates the matrices at odd indices while this thread updates the even
+    ones.
     """
     state.step += 1
-    t = state.step
+    updates = list(zip(weights.matrices, grads, state.first_moment, state.second_moment))
+    odd = (lane or _INLINE_LANE).submit(_adam_update, updates[1::2], state.step,
+                                        config.learning_rate)
+    _adam_update(updates[0::2], state.step, config.learning_rate)
+    odd.result()
+
+
+def _adam_update(updates, t: int, lr: float) -> None:
+    """``adam_step``'s update of each (weight, gradient, moment, moment) at step t.
+
+    Each matrix is updated in row slices of about ``ADAM_SLICE_BYTES`` with
+    two scratch buffers allocated once per call, in the weights' dtype.
+    """
     b1, b2, eps = 0.9, 0.999, 1e-8
-    c1, c2, lr = 1.0 - b1 ** t, 1.0 - b2 ** t, config.learning_rate
-    dtype = weights.matrices[0].dtype
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    dtype = updates[0][0].dtype
     slice_len = ADAM_SLICE_BYTES // dtype.itemsize
     # A row wider than a slice is a slice of its own.
-    width = max(slice_len, *(w.shape[1] for w in weights.matrices))
+    width = max(slice_len, *(w.shape[1] for w, _, _, _ in updates))
     buf_a, buf_b = np.empty(width, dtype), np.empty(width, dtype)
-    for w_all, g_all, m_all, v_all in zip(weights.matrices, grads, state.first_moment,
-                                          state.second_moment):
+    for w_all, g_all, m_all, v_all in updates:
         rows, cols = w_all.shape
         step = max(1, slice_len // cols)
         for lo in range(0, rows, step):
@@ -592,15 +636,28 @@ def adam_step(weights: ModelWeights, grads: list[np.ndarray], state: AdamState,
             np.subtract(w, b, out=w)
 
 
+def _training_lane() -> futures.ThreadPoolExecutor:
+    """The lane of one training loop: one worker thread, for a ``with`` block.
+
+    Each ``np.matmul`` and ufunc still runs as one BLAS or numpy call on one
+    thread, so a lane overlaps work without changing a result.  Leaving the
+    block joins the thread, so no lane outlives its loop, and a process that
+    forks between loops (``run_experiment`` with ``jobs > 1``) has none.
+    """
+    return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="resilinet-lane")
+
+
 def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence,
                kernel, start_remaining: np.ndarray, comm_range: float,
                config: Hyperparams, rng: np.random.Generator, workspace: Workspace,
-               prefix: ForwardTrace | None = None) -> LossHead:
+               prefix: ForwardTrace | None = None, *,
+               lane: futures.Executor | None = None) -> LossHead:
     """One train-mode forward/backward/Adam update of ``weights`` and ``state`` in place.
 
-    Returns the loss head.  Forward and backward run in ``workspace``, and
-    ``prefix`` goes to ``forward``.  The gap penalty is one ``lagrange_s``
-    per communication range of residual component gap.
+    Returns the loss head.  Forward and backward run in ``workspace``,
+    ``prefix`` goes to ``forward`` and ``lane`` to ``backward`` and
+    ``adam_step``.  The gap penalty is one ``lagrange_s`` per communication
+    range of residual component gap.
     """
     output, trace = forward(weights, seq, kernel, config, train=True, rng=rng,
                             prefix=prefix, workspace=workspace)
@@ -608,8 +665,8 @@ def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence
         output, seq.n, seq.n_remaining, start_remaining, config.max_speed,
         comm_range, config.lagrange_s, config.lagrange_s / comm_range,
     )
-    grads = backward(trace, weights, kernel, head.grad_output, workspace)
-    adam_step(weights, grads, state, config)
+    grads = backward(trace, weights, kernel, head.grad_output, workspace, lane=lane)
+    adam_step(weights, grads, state, config, lane=lane)
     return head
 
 
@@ -639,6 +696,7 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     whole run (and the persisted file) is reproducible bit for bit.  It
     trains in float64: in the acceptance replay at pretrain seeds 42-44, a
     float32 pretrain planned 0.22-0.36 s slower mean recovery at every seed.
+    Its train steps share one workspace and one lane (``_training_lane``).
     """
     config = config or Hyperparams()
     topo_seed, damage_seed, init_seed, dropout_seed = (
@@ -658,21 +716,21 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
 
     curve = []
     best_flight: float | None = None
-    for iteration in range(1, config.pretrain_iters + 1):
-        head = train_step(
-            weights, state, seq, kernel, start_remaining, comm_range, config, rng, workspace
-        )
-        feasible = head.metrics.subnet_counts == 1
-        if feasible.any():
-            t = float(head.metrics.flight_times[feasible].min())
-            best_flight = t if best_flight is None else min(best_flight, t)
-        curve.append(CurvePoint(
-            iteration=iteration,
-            reported_loss=head.reported,
-            surrogate_loss=head.trainable,
-            best_flight_time=best_flight,
-            feasible=bool(feasible.any()),
-        ))
+    with _training_lane() as lane:
+        for iteration in range(1, config.pretrain_iters + 1):
+            head = train_step(weights, state, seq, kernel, start_remaining, comm_range,
+                              config, rng, workspace, lane=lane)
+            feasible = head.metrics.subnet_counts == 1
+            if feasible.any():
+                t = float(head.metrics.flight_times[feasible].min())
+                best_flight = t if best_flight is None else min(best_flight, t)
+            curve.append(CurvePoint(
+                iteration=iteration,
+                reported_loss=head.reported,
+                surrogate_loss=head.trainable,
+                best_flight_time=best_flight,
+                feasible=bool(feasible.any()),
+            ))
 
     metadata = {
         "n": n,
@@ -712,7 +770,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     After each train-mode step, an eval-mode forward scores every branch; the
     best feasible candidate per branch over all iterations is retained.  That
     eval trace is the next train forward's ``prefix``, and both run in one
-    ``Workspace``, so the solver holds one forward trace.  Runs exactly
+    ``Workspace``, so the solver holds one forward trace, and the train steps
+    share one lane (``_training_lane``).  Runs exactly
     ``config.online_iters`` iterations, or none when the survivors start
     connected.  An entirely infeasible run is a value, not an error: every
     time is ``inf``.  The search chooses no branch; ``planner.plan_learned``
@@ -737,21 +796,22 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     best_times = np.full(branches, np.inf)
     best_targets: list[np.ndarray | None] = [None] * branches
 
-    for _ in range(config.online_iters):
-        # The eval forward wrote the whole workspace; this train forward keeps
-        # its first layer and block 0 and overwrites the rest, which the
-        # scored eval output no longer needs.
-        train_step(weights, state, seq, kernel, start_remaining, comm_range, config, rng,
-                   workspace, prefix=eval_trace)
-        output, eval_trace = forward(weights, seq, kernel, config, train=False,
-                                     workspace=workspace)
-        metrics = per_branch_metrics(
-            output, n, n_r, start_remaining, config.max_speed, comm_range
-        )
-        for k in range(branches):
-            if metrics.subnet_counts[k] == 1 and metrics.flight_times[k] < best_times[k]:
-                best_times[k] = metrics.flight_times[k]
-                best_targets[k] = output[k * n: k * n + n_r].copy()
+    with _training_lane() as lane:
+        for _ in range(config.online_iters):
+            # The eval forward wrote the whole workspace; this train forward
+            # keeps its first layer and block 0 and overwrites the rest, which
+            # the scored eval output no longer needs.
+            train_step(weights, state, seq, kernel, start_remaining, comm_range, config, rng,
+                       workspace, prefix=eval_trace, lane=lane)
+            output, eval_trace = forward(weights, seq, kernel, config, train=False,
+                                         workspace=workspace)
+            metrics = per_branch_metrics(
+                output, n, n_r, start_remaining, config.max_speed, comm_range
+            )
+            for k in range(branches):
+                if metrics.subnet_counts[k] == 1 and metrics.flight_times[k] < best_times[k]:
+                    best_times[k] = metrics.flight_times[k]
+                    best_targets[k] = output[k * n: k * n + n_r].copy()
 
     return SolutionSet(branch_targets=tuple(best_targets), flight_times=best_times,
                        iterations=config.online_iters)

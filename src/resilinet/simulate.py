@@ -184,12 +184,14 @@ def _labeling(adjacency: np.ndarray) -> tuple[int, tuple[np.ndarray, np.ndarray]
                                               tuple[np.ndarray, np.ndarray]]:
     """Component count, a spanning forest and the pairs between components of a graph.
 
-    Both node pair sets are (rows, cols) index arrays.  The forest is taken
-    over unit weights: csgraph drops explicit zeros, so squared-distance
-    weights would lose the links between coincident nodes.
+    Both node pair sets are (rows, cols) index arrays.  The components and
+    the forest come from one CSR graph, and the forest is taken over its unit
+    weights: csgraph drops explicit zeros, so squared-distance weights would
+    lose the links between coincident nodes.
     """
-    count, labels = component_labels(adjacency)
-    forest = minimum_spanning_tree(_csr_graph(adjacency)).nonzero()
+    graph = _csr_graph(adjacency)
+    count, labels = component_labels(graph)
+    forest = minimum_spanning_tree(graph).nonzero()
     return count, forest, np.nonzero(labels[:, None] < labels[None, :])
 
 

@@ -219,6 +219,38 @@ def allocating_forward(weights, seq, kernel, config, train=False, rng=None):
     return output, arrays + [final_mid, final_act, output]
 
 
+def allocating_backward(trace, weights, kernel, grad_output):
+    """The network backward with a fresh array for every intermediate.
+
+    The package's former ``backward`` on one thread: sparse products are
+    ``kernel @ x`` and each weight gradient is taken where its layer's
+    gradient is.  Reads the package's forward trace; returns the gradients.
+    """
+    mats = weights.matrices
+    g_final = grad_output * (trace.scale + 1.0)
+    g_zq = (g_final * (1.0 - trace.final_act ** 2)).astype(mats[-1].dtype, copy=False)
+    grads = [None] * len(mats)
+    grads[-1] = trace.final_mid.T @ g_zq
+    g_x = kernel @ (g_zq @ mats[-1].T)
+    g_first = np.zeros_like(g_x)
+    for l in range(weights.blocks - 1, -1, -1):
+        bt = trace.block_traces[l]
+        g_first += g_x
+        g_zb = g_x * (bt.act_b > 0)
+        grads[2 + 2 * l] = bt.mid_b.T @ g_zb
+        g_za = (kernel @ (g_zb @ mats[2 + 2 * l].T)) * (bt.act_a > 0)
+        grads[1 + 2 * l] = bt.mid_a.T @ g_za
+        g_in = kernel @ (g_za @ mats[1 + 2 * l].T)
+        if bt.dropout_mask is not None:
+            g_in = g_in * bt.dropout_mask
+        if l == 0:
+            g_first += g_in
+        else:
+            g_x = g_in
+    grads[0] = trace.first_mid.T @ (g_first * (trace.first_act > 0))
+    return grads
+
+
 def functional_adam_step(weights, grads, state, config):
     """Out-of-place Adam: fresh weight and moment arrays on every step.
 

@@ -1,5 +1,7 @@
 import base64
 import json
+import threading
+from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from resilinet.gcn import (AdamState, Hyperparams, ModelWeights, adam_step,
 from resilinet.swarm import (SwarmTopology, build_adjacency, component_labels, count_subnets,
                              diameter_hops, generate_swarm)
 
-from _oracles import (allocating_forward, boolean_power_reachability,
+from _oracles import (allocating_backward, allocating_forward, boolean_power_reachability,
                       component_pair_gap_gradient, dense_forward_reference,
                       dense_hadamard_damage_graph, functional_adam_step)
 from test_damage import damage_cases
@@ -439,10 +441,10 @@ class TestAdam:
         self._compare_with_functional(200, 1, 3, 1e-3, 11)
 
     @staticmethod
-    def _compare_with_functional(hidden, blocks, steps, lr, seed):
+    def _compare_with_functional(hidden, blocks, steps, lr, seed, dtype=np.float64, lane=None):
         rng = np.random.default_rng(seed)
         config = Hyperparams(hidden_dim=hidden, blocks=blocks, learning_rate=lr)
-        weights = ModelWeights.init_scaled_uniform(hidden, blocks, seed=seed)
+        weights = _as_dtype(ModelWeights.init_scaled_uniform(hidden, blocks, seed=seed), dtype)
         state = AdamState.zeros(weights)
         ref_weights = ModelWeights(tuple(m.copy() for m in weights.matrices), hidden, blocks)
         ref_state = AdamState.zeros(ref_weights)
@@ -451,14 +453,15 @@ class TestAdam:
             for m in weights.matrices:
                 g = rng.standard_normal(m.shape) * 10.0 ** rng.uniform(-8, 3)
                 g[rng.random(m.shape) < 0.2] = 0.0
-                grads.append(g)
+                grads.append(g.astype(dtype))
             ref_weights, ref_state = functional_adam_step(ref_weights, grads, ref_state, config)
-            adam_step(weights, grads, state, config)
+            adam_step(weights, grads, state, config, lane=lane)
         assert state.step == ref_state.step == steps
         for got, want in ((weights.matrices, ref_weights.matrices),
                           (state.first_moment, ref_state.first_moment),
                           (state.second_moment, ref_state.second_moment)):
             for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype
                 assert a.tobytes() == b.tobytes()
 
 
@@ -624,11 +627,55 @@ def _trace_arrays(trace):
 def _workspace_arrays(workspace):
     arrays = [workspace.first_mid, workspace.first_act, workspace.final_mid,
               *workspace.grads, workspace.first, workspace.product, workspace.spread,
-              workspace.active, workspace.draw]
+              workspace.spread_a, workspace.active, workspace.draw]
     for bt in workspace.blocks:
         arrays.extend(a for a in (bt.dropout_mask, bt.mid_a, bt.act_a, bt.mid_b, bt.act_b)
                       if a is not None)
     return arrays
+
+
+class DeferredLane(futures.Executor):
+    """A lane that runs each job only when its result is awaited.
+
+    A caller that overwrites a job's operands before awaiting it, or that
+    returns before awaiting it, gets other bytes from it than from a lane
+    that runs the job at once.
+    """
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        job = DeferredJob(fn, args, kwargs)
+        self.jobs.append(job)
+        return job
+
+
+class DeferredJob:
+    def __init__(self, fn, args, kwargs):
+        self.call, self.value = (fn, args, kwargs), None
+
+    def done(self):
+        return self.call is None
+
+    def result(self, timeout=None):
+        if self.call is not None:
+            fn, args, kwargs = self.call
+            self.call, self.value = None, fn(*args, **kwargs)
+        return self.value
+
+
+@pytest.fixture(params=["inline", "thread", "deferred"])
+def lane(request):
+    """None (each job runs when submitted), a one-worker thread pool or a DeferredLane."""
+    if request.param == "thread":
+        with futures.ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool
+    else:
+        deferred = DeferredLane() if request.param == "deferred" else None
+        yield deferred
+        if deferred is not None:
+            assert deferred.jobs and all(job.done() for job in deferred.jobs)
 
 
 class TestWorkspace:
@@ -649,7 +696,7 @@ class TestWorkspace:
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_calls_in_one_workspace_match_calls_with_fresh_arrays(self, dtype):
+    def test_calls_in_one_workspace_match_calls_with_fresh_arrays(self, dtype, lane):
         _, _, _, seq = small_case(33, n=16, n_d=7, branches=3)
         kernel = build_kernel(seq).astype(dtype)
         rows = seq.batch_features.shape[0]
@@ -662,20 +709,24 @@ class TestWorkspace:
         rngs = [np.random.default_rng(6) for _ in range(3)]
 
         def both(weights, train, prefixes=(None, None)):
-            """Traces in the workspace and with fresh arrays; both must equal the oracle's."""
+            """Traces and gradients in the workspace on the lane and with fresh arrays
+            on none; all must equal the oracles'."""
             rng_ws, rng_fresh, rng_oracle = rngs if train else (None, None, None)
             _, expected = allocating_forward(weights, seq, kernel, self.CONFIG, train, rng_oracle)
             traces, grads = [], []
-            for rng, prefix, ws in zip((rng_ws, rng_fresh), prefixes, (workspace, None)):
+            for rng, prefix, ws, on in zip((rng_ws, rng_fresh), prefixes, (workspace, None),
+                                           (lane, None)):
                 _, trace = forward(weights, seq, kernel, self.CONFIG, train=train, rng=rng,
                                    prefix=prefix, workspace=ws)
                 for a, b in zip(_trace_arrays(trace), expected, strict=True):
                     assert (a is None) == (b is None)
                     assert a is None or a.tobytes() == b.tobytes()
                 traces.append(trace)
-                grads.append(backward(trace, weights, kernel, grad_output, ws))
-            for g, g_fresh in zip(*grads):
-                assert g.tobytes() == g_fresh.tobytes()
+                grads.append(backward(trace, weights, kernel, grad_output, ws, lane=on))
+            oracle = allocating_backward(traces[1], weights, kernel, grad_output)
+            for g, g_fresh, g_oracle in zip(*grads, oracle, strict=True):
+                assert g.dtype == g_oracle.dtype
+                assert g.tobytes() == g_fresh.tobytes() == g_oracle.tobytes()
             for array in [a for a in _trace_arrays(traces[0])[:-2] if a is not None] + grads[0]:
                 assert any(np.shares_memory(array, w) for w in owned)
             return traces
@@ -688,6 +739,36 @@ class TestWorkspace:
         trace, _ = both(second, True, (eval_trace, eval_trace_fresh))
         assert trace.block_traces[0] is eval_trace.block_traces[0]
         assert trace.block_traces[1].mid_a is eval_trace.block_traces[1].mid_a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_steps_on_a_lane_equal_the_functional_form(self, dtype, lane):
+        # Slices of 50 elements: each side of the split updates several.
+        with mock.patch.object(gcn, "ADAM_SLICE_BYTES", 50 * np.dtype(dtype).itemsize):
+            TestAdam._compare_with_functional(24, 2, 3, 1e-3, 11, dtype, lane)
+
+
+class TestTrainingLane:
+    def test_no_lane_outlives_its_training_loop(self, monkeypatch):
+        # A lane alive when run_experiment forks would be a pool without a
+        # worker in every child.
+        workers = set()
+        update = gcn._adam_update
+
+        def recorded(*args):
+            workers.add(threading.current_thread())
+            return update(*args)
+
+        monkeypatch.setattr(gcn, "_adam_update", recorded)
+        before = threading.active_count()
+        pretrain(16, 200.0, 120.0, seed=5, config=TINY)
+        assert threading.active_count() == before
+        topo, _, graph_in, seq = small_case(33, n=16, n_d=7)
+        weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
+        solve(graph_in, seq, build_kernel(seq), weights, topo.comm_range, TINY, seed=2)
+        assert threading.active_count() == before
+        lanes = workers - {threading.current_thread()}
+        assert len(lanes) == 2
+        assert not any(thread.is_alive() for thread in lanes)
 
 
 class TestSolve:
