@@ -696,7 +696,15 @@ class TestWorkspace:
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_calls_in_one_workspace_match_calls_with_fresh_arrays(self, dtype, lane):
+    def test_calls_in_one_workspace_match_calls_with_fresh_arrays(self, dtype):
+        self.check_calls_in_one_workspace(dtype, None)
+
+    @pytest.mark.parametrize("lane", ["thread", "deferred"], indirect=True)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_on_a_lane_matches_calls_with_fresh_arrays(self, dtype, lane):
+        self.check_calls_in_one_workspace(dtype, lane)
+
+    def check_calls_in_one_workspace(self, dtype, lane):
         _, _, _, seq = small_case(33, n=16, n_d=7, branches=3)
         kernel = build_kernel(seq).astype(dtype)
         rows = seq.batch_features.shape[0]
