@@ -19,7 +19,11 @@ lane, so that work runs beside the backward chain.
 from __future__ import annotations
 
 import base64
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from concurrent import futures
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -636,15 +640,63 @@ def _adam_update(updates, t: int, lr: float) -> None:
             np.subtract(w, b, out=w)
 
 
-def _training_lane() -> futures.ThreadPoolExecutor:
-    """The lane of one training loop: one worker thread, for a ``with`` block.
+# A loop may open a thread lane (see ``_training_lane``).  Processes that
+# share the cores among themselves, as ``run_experiment``'s workers do, clear it.
+thread_lanes = True
 
-    Each ``np.matmul`` and ufunc still runs as one BLAS or numpy call on one
-    thread, so a lane overlaps work without changing a result.  Leaving the
-    block joins the thread, so no lane outlives its loop, and a process that
-    forks between loops (``run_experiment`` with ``jobs > 1``) has none.
+# The thread-count getter of the OpenBLAS that numpy wheels bundle in
+# numpy.libs: scipy-openblas's name (numpy >= 2), then OpenBLAS's own.
+_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                            "openblas_get_num_threads")
+
+
+@functools.cache
+def _openblas_thread_getter():
+    """numpy's OpenBLAS ``get_num_threads`` as a ctypes function, or None if not found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The threads numpy's BLAS runs a product on now, or None where that is unknown."""
+    getter = _openblas_thread_getter()
+    return None if getter is None else getter()
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _training_lane() -> contextlib.AbstractContextManager[futures.Executor]:
+    """The lane of one training loop, for a ``with`` block.
+
+    A thread lane (a pool of one worker) pays only on a core of its own: it
+    opens when numpy's BLAS runs one thread, the process may use two cores or
+    more and ``thread_lanes`` is set.  A multi-threaded BLAS already spreads
+    each product over the cores, and the lane's products would contend with
+    its threads.  Otherwise, or where the BLAS thread count cannot be read,
+    the loop gets the inline lane and runs on its own thread alone.
+
+    Each ``np.matmul`` and ufunc is the same call on either lane, so the
+    lane changes no result.  Leaving the block joins the thread, so no lane
+    outlives its loop, and a process that forks between loops
+    (``run_experiment`` with ``jobs > 1``) has none.
     """
-    return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="resilinet-lane")
+    if thread_lanes and _blas_threads() == 1 and _usable_cores() > 1:
+        return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="resilinet-lane")
+    return contextlib.nullcontext(_INLINE_LANE)
 
 
 def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence,

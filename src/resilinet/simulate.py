@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
+from . import gcn
 from .damage import DamageError, apply_damage
 from .gcn import Hyperparams, ModelWeights
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, RecoveryPlan,
                       plan_recovery)
 from .swarm import (DegreeStats, GenerationError, _csr_graph, _pairs_in_range,
-                    build_adjacency, check_swarm_params, component_labels, degree_cdf,
+                    build_adjacency, check_swarm_params, degree_cdf,
                     degree_stats, generate_swarm, write_csv, write_payload)
 
 RESULTS_VERSION = 1
@@ -190,9 +191,9 @@ def _labeling(adjacency: np.ndarray) -> tuple[int, tuple[np.ndarray, np.ndarray]
     lose the links between coincident nodes.
     """
     graph = _csr_graph(adjacency)
-    count, labels = component_labels(graph)
+    count, labels = connected_components(graph, directed=False)
     forest = minimum_spanning_tree(graph).nonzero()
-    return count, forest, np.nonzero(labels[:, None] < labels[None, :])
+    return int(count), forest, np.nonzero(labels[:, None] < labels[None, :])
 
 
 def _certified_steps(frames: np.ndarray, forest, across, comm_range: float,
@@ -356,6 +357,8 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(spec, weights, config):
+    # The workers share the cores, so none has a spare one for a training lane.
+    gcn.thread_lanes = False
     _WORKER_STATE["args"] = (spec, weights, config)
 
 

@@ -181,14 +181,9 @@ def hop_distances(adj: np.ndarray) -> np.ndarray:
     return shortest_path(_csr_graph(adj), method="D", directed=False, unweighted=True)
 
 
-def component_labels(adj: np.ndarray | csr_matrix) -> tuple[int, np.ndarray]:
-    """Connected components of an undirected adjacency: (count, labels).
-
-    A dense adjacency goes through ``_csr_graph``; a caller that needs that
-    CSR graph for more than the labels passes it instead.
-    """
-    graph = adj if isinstance(adj, csr_matrix) else _csr_graph(adj)
-    count, labels = connected_components(graph, directed=False)
+def component_labels(adj: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of an undirected adjacency: (count, labels)."""
+    count, labels = connected_components(_csr_graph(adj), directed=False)
     return int(count), labels
 
 

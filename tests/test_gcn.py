@@ -1,7 +1,11 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 import threading
 from concurrent import futures
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from resilinet import gcn
+from resilinet import gcn, simulate
 from resilinet.damage import DamageScenario, apply_damage, build_input_graph
 from resilinet.damage_graphs import build_graph_sequence, choose_branch_count, sparsity_report
 from resilinet.planner import plan_learned
@@ -767,6 +771,8 @@ class TestTrainingLane:
             return update(*args)
 
         monkeypatch.setattr(gcn, "_adam_update", recorded)
+        monkeypatch.setattr(gcn, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(gcn, "_usable_cores", lambda: 2)
         before = threading.active_count()
         pretrain(16, 200.0, 120.0, seed=5, config=TINY)
         assert threading.active_count() == before
@@ -777,6 +783,41 @@ class TestTrainingLane:
         lanes = workers - {threading.current_thread()}
         assert len(lanes) == 2
         assert not any(thread.is_alive() for thread in lanes)
+
+    @pytest.mark.parametrize("blas_threads, cores, enabled, opens", [
+        (1, 2, True, True), (1, 8, True, True),
+        (2, 2, True, False), (8, 8, True, False), (None, 2, True, False),
+        (1, 1, True, False), (1, 2, False, False),
+    ])
+    def test_a_thread_lane_opens_only_beside_a_one_thread_blas_on_a_spare_core(
+            self, monkeypatch, blas_threads, cores, enabled, opens):
+        monkeypatch.setattr(gcn, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(gcn, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(gcn, "thread_lanes", enabled)
+        with gcn._training_lane() as lane:
+            assert isinstance(lane, futures.ThreadPoolExecutor) == opens
+            assert (lane is gcn._INLINE_LANE) != opens
+
+    def test_experiment_workers_train_inline(self, monkeypatch):
+        monkeypatch.setattr(gcn, "thread_lanes", True)
+        monkeypatch.setattr(simulate, "_WORKER_STATE", {})
+        simulate._init_worker(None, None, None)
+        assert gcn.thread_lanes is False
+        with gcn._training_lane() as lane:
+            assert lane is gcn._INLINE_LANE
+
+    def test_blas_thread_probe_reads_the_thread_count(self):
+        if gcn._blas_threads() is None:
+            pytest.skip("numpy's BLAS thread count cannot be read here")
+        src = str(Path(gcn.__file__).resolve().parents[1])
+        code = "from resilinet import gcn; print(gcn._blas_threads())"
+        # OpenBLAS runs no more threads than the machine has cores.
+        for threads in ("1", "2") if gcn._usable_cores() > 1 else ("1",):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            env.pop("OMP_NUM_THREADS", None)
+            probed = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                    text=True, check=True, timeout=120).stdout.strip()
+            assert probed == threads
 
 
 class TestSolve:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resilinet import simulate, swarm
+from resilinet import simulate
 from resilinet.damage import apply_damage
 from resilinet.gcn import Hyperparams, pretrain
 from resilinet.planner import (METHOD_CENTERING, RecoveryPlan, plan_centering,
@@ -340,7 +340,7 @@ class TestLabelingCertificate:
 
     def labelings(self, monkeypatch, start, targets):
         start = np.asarray(start, dtype=float)
-        calls = count_calls(monkeypatch, swarm.component_labels)
+        calls = count_calls(monkeypatch, simulate._labeling)
         simulate_recovery(start, plan_to(targets), 10.0, 1.0, 120.0, t_max=1e9)
         labelings = len(calls)
         sim = assert_matches_dense_labeling(start, targets, 120.0, max_speed=10.0, step_s=1.0)
@@ -385,7 +385,7 @@ class TestLabelingCertificate:
         # last step, 120.5 m at the next block's first.
         start = [[0.0, 0.0], [119.5 - simulate.BLOCK_STEPS, 0.0]]
         targets = [[0.0, 0.0], [200.0, 0.0]]
-        calls = count_calls(monkeypatch, swarm.component_labels)
+        calls = count_calls(monkeypatch, simulate._labeling)
         simulate_recovery(np.asarray(start), plan_to(targets), 1.0, 1.0, 120.0, t_max=1e9)
         assert len(calls) == 2
         sim = assert_matches_dense_labeling(start, targets, 120.0, max_speed=1.0, step_s=1.0)
@@ -416,7 +416,7 @@ class TestLabelingCertificate:
         topology = generate_swarm(200, 200.0, 120.0, seed=1)
         scenario = apply_damage(topology, 100, seed=2)
         plan = plan_centering(topology, scenario)
-        calls = count_calls(monkeypatch, swarm.component_labels)
+        calls = count_calls(monkeypatch, simulate._labeling)
         sim = simulate_recovery(topology.positions[scenario.remaining], plan, 10.0, 0.1,
                                 topology.comm_range, t_max=1e9)
         steps = len(sim.subnet_series) - 1
