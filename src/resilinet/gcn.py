@@ -12,9 +12,10 @@ Everything is hand-rolled numpy: the forward pass keeps what reverse mode
 needs in a preallocated workspace, gradients are derived manually (the sub-net penalty is piecewise
 constant, so training uses a spanning-tree gap surrogate whose gradient
 pulls the closest node pair of disconnected components together), and the
-optimizer is a plain Adam that updates the weights in place.  A training
-loop hands the weight gradients and half of Adam to a second thread, its
-lane, so that work runs beside the backward chain.
+optimizer is a plain Adam that updates the weights in place.  Where BLAS
+runs one thread and a core is spare, a training loop hands the weight
+gradients and half of Adam to a second thread, its lane, so that work runs
+beside the backward chain.
 """
 from __future__ import annotations
 
@@ -645,9 +646,8 @@ def _adam_update(updates, t: int, lr: float) -> None:
 thread_lanes = True
 
 # The thread-count getter of the OpenBLAS that numpy wheels bundle in
-# numpy.libs: scipy-openblas's name (numpy >= 2), then OpenBLAS's own.
-_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                            "openblas_get_num_threads")
+# numpy.libs: scipy-openblas's name (numpy >= 2), then OpenBLAS's (numpy 1.x).
+_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
 
 
 @functools.cache
