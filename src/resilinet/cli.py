@@ -1,10 +1,11 @@
 """Command-line pipeline: gen, damage, pretrain, plan, simulate, experiment, report.
 
-Every command is reproducible from (config, seed) and echoes its effective
-configuration into the output metadata.  ``_options`` resolves every option
-once: flags over config file over defaults; the RESILINET_SEED environment
-variable supplies the seed when neither a flag nor the config file does.
-One ``max_speed`` drives the planner, the simulator and the recovery budget.
+Every command is reproducible from (config, seed) for a given BLAS thread
+count and echoes its effective configuration into the output metadata.
+``_options`` resolves every option once: flags over config file over
+defaults; the RESILINET_SEED environment variable supplies the seed when
+neither a flag nor the config file does.  One ``max_speed`` drives the
+planner, the simulator and the recovery budget.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 generation/damage
 failure, 4 training divergence, 5 internal error (a plan that fails its own

@@ -8,8 +8,9 @@ is rescaled to position range.  Each branch block of the output is a
 candidate target-position matrix; the loss is the worst remaining-node
 flight time plus a penalty for every extra sub-net in the candidate graph.
 
-Everything is hand-rolled numpy: the forward pass keeps what reverse mode
-needs in a preallocated workspace, gradients are derived manually (the sub-net penalty is piecewise
+Everything is hand-rolled numpy: the forward pass writes what reverse mode
+needs into a preallocated workspace, which is its trace and also holds the
+gradients; gradients are derived manually (the sub-net penalty is piecewise
 constant, so training uses a spanning-tree gap surrogate whose gradient
 pulls the closest node pair of disconnected components together), and the
 optimizer is a plain Adam that updates the weights in place.  Where BLAS
@@ -190,55 +191,34 @@ def upscale_features(normalized: np.ndarray, center: np.ndarray, scale: float) -
     return (scale + 1.0) * np.asarray(normalized, dtype=float) + center
 
 
-@dataclass(frozen=True)
-class BlockTrace:
-    dropout_mask: np.ndarray | None
+@dataclass(eq=False)
+class Workspace:
+    """One forward pass's trace, and the gradients and scratch of its backward.
+
+    A training loop makes one for its batch and passes it to every call, so
+    the first iteration faults its pages in and no later one allocates a
+    (rows, d) array.  ``forward`` writes its trace here and returns the
+    workspace: the first layer, the blocks' ``mid_a``, ``act_a``, ``mid_b``
+    and ``act_b`` stacked (blocks, rows, d), the dropout masks of blocks >= 1
+    as ``masks`` (blocks - 1, rows, d), ``final_mid``, and per pass
+    ``final_act``, ``output``, ``scale`` and ``dropped`` (whether ``masks``
+    holds this pass's masks).  ``backward`` writes the weight gradients and
+    its scratch: ``first``, ``product``, and ``spread`` and ``spread_a``,
+    which take turns as the output of its sparse products.  The forward's
+    block input and its dropped copy live in ``first`` and its float64
+    dropout draw in ``draw``, which shares the memory of ``product`` (and of
+    ``spread`` in float32).  No trace array shares scratch, so a trace stays
+    whole until the next forward, which overwrites it; one that takes it as
+    its ``prefix`` keeps its first layer and block 0.
+    """
+
+    first_mid: np.ndarray
+    first_act: np.ndarray
     mid_a: np.ndarray
     act_a: np.ndarray
     mid_b: np.ndarray
     act_b: np.ndarray
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Everything backward needs to replay the forward pass exactly.
-
-    Its arrays other than ``final_act`` and ``output`` belong to the
-    workspace the forward ran in, so the next forward in that workspace
-    overwrites them (see ``Workspace``).
-    """
-
-    first_mid: np.ndarray
-    first_act: np.ndarray
-    block_traces: tuple[BlockTrace, ...]
-    final_mid: np.ndarray
-    final_act: np.ndarray
-    output: np.ndarray
-    scale: float
-
-
-@dataclass(frozen=True)
-class Workspace:
-    """The arrays that ``forward`` and ``backward`` overwrite instead of allocating.
-
-    A training loop makes one for its batch and passes it to every call, so
-    the first iteration faults its pages in and no later one allocates a
-    (rows, d) array.  It holds one forward trace (the first layer, each
-    block's four arrays, the dropout masks of blocks >= 1 and
-    ``final_mid``), the weight gradients and backward's scratch: ``first``,
-    ``product``, and ``spread`` and ``spread_a``, which take turns as the
-    output of its sparse products.  The forward's block input and its
-    dropped copy live in ``first`` and its float64 dropout draw in ``draw``,
-    which shares the memory of ``product`` (and of ``spread`` in float32).
-    No trace array shares scratch, so a
-    trace stays whole until the next forward in the same workspace; one that
-    takes it as its ``prefix`` keeps its first layer and block 0 and
-    overwrites the rest.
-    """
-
-    first_mid: np.ndarray
-    first_act: np.ndarray
-    blocks: tuple[BlockTrace, ...]
+    masks: np.ndarray
     final_mid: np.ndarray
     grads: tuple[np.ndarray, ...]
     first: np.ndarray
@@ -247,23 +227,28 @@ class Workspace:
     spread_a: np.ndarray
     active: np.ndarray
     draw: np.ndarray
+    final_act: np.ndarray | None = None
+    output: np.ndarray | None = None
+    scale: float = 0.0
+    dropped: bool = False
 
     @classmethod
     def for_batch(cls, weights: ModelWeights, rows: int) -> "Workspace":
         """Arrays for ``rows`` batch rows in the weights' dtype, gradients like the weights."""
         shape, dtype = (rows, weights.hidden_dim), weights.matrices[0].dtype
 
-        def new():
-            return np.empty(shape, dtype)
+        def new(*stack):
+            return np.empty((*stack, *shape), dtype)
 
-        blocks = tuple(BlockTrace(new() if l > 0 else None, new(), new(), new(), new())
-                       for l in range(weights.blocks))
+        blocks = weights.blocks
         # product and spread, back to back; the float64 draw spans their
         # first rows * d * 8 bytes, which is both in float32.
         pair = np.empty(2 * rows * weights.hidden_dim, dtype)
         product, spread = (half.reshape(shape) for half in np.split(pair, 2))
-        return cls(first_mid=np.empty((rows, 2), dtype), first_act=new(), blocks=blocks,
-                   final_mid=new(), grads=tuple(np.empty_like(m) for m in weights.matrices),
+        return cls(first_mid=np.empty((rows, 2), dtype), first_act=new(), mid_a=new(blocks),
+                   act_a=new(blocks), mid_b=new(blocks), act_b=new(blocks),
+                   masks=new(blocks - 1), final_mid=new(),
+                   grads=tuple(np.empty_like(m) for m in weights.matrices),
                    first=new(), product=product, spread=spread, spread_a=new(),
                    active=np.empty(shape, dtype=bool),
                    draw=pair.view(np.float64)[:product.size].reshape(shape))
@@ -305,75 +290,68 @@ def _relu_product(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
 def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
             config: Hyperparams, train: bool = False,
             rng: np.random.Generator | None = None,
-            prefix: ForwardTrace | None = None, *,
-            workspace: Workspace | None = None) -> tuple[np.ndarray, ForwardTrace]:
+            prefix: Workspace | None = None, *,
+            workspace: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
     """Run the network on the batch; returns (output positions, trace).
 
     Computes in the dtype of the weights, which the CSR kernel must share:
     the tiled input rows and the dropout mask (drawn as float64) are cast to
-    it.  The output positions are float64.  The trace's arrays are those of
-    ``workspace`` (a fresh one when None).
+    it.  The output positions are float64.  The trace is ``workspace`` (the
+    prefix or a fresh one when None), which this pass overwrites.
 
     Dropout is applied between residual blocks in train mode only (masks are
     recorded in the trace); eval mode is fully deterministic.  Raises
     TrainingDivergence if the output stops being finite.
 
     Block 0 has no dropout in either mode, so the first layer and block 0
-    depend only on the weights, batch and kernel.  ``prefix``, a trace of a
-    forward pass over the same batch and kernel with weights equal to these,
-    supplies them instead of recomputing them; the result is bit-identical.
+    depend only on the weights, batch and kernel.  ``prefix``, the
+    workspace's own trace of a forward pass over the same batch and kernel
+    with weights equal to these, supplies them: the pass starts at block 1,
+    and the result is bit-identical.  A prefix that is not the workspace
+    raises ValueError.
     """
     mats = weights.matrices
     dropping = train and config.dropout > 0.0
     if dropping and weights.blocks > 1 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
-    ws = (workspace if workspace is not None
-          else Workspace.for_batch(weights, seq.batch_features.shape[0]))
+    ws = prefix if workspace is None else workspace
+    if ws is None:
+        ws = Workspace.for_batch(weights, seq.batch_features.shape[0])
+    elif prefix is not None and prefix is not ws:
+        raise ValueError("a forward's prefix must be its workspace's own trace")
 
     x_rows, center, scale = normalize_features(seq.batch_features[:seq.n])
     if prefix is None:
         tiled = np.tile(x_rows, (seq.branches, 1)).astype(mats[0].dtype, copy=False)
-        first_mid = _kernel_product(kernel, tiled, ws.first_mid)
-        first_act = _relu_product(first_mid, mats[0], ws.first_act)
-        x = first_act
-        block_traces = []
+        _kernel_product(kernel, tiled, ws.first_mid)
+        x = _relu_product(ws.first_mid, mats[0], ws.first_act)
     else:
-        first_mid, first_act = prefix.first_mid, prefix.first_act
-        block_traces = [prefix.block_traces[0]]
-        x = np.add(block_traces[0].act_b, first_act, out=ws.first)
+        x = np.add(ws.act_b[0], ws.first_act, out=ws.first)
 
-    for l in range(len(block_traces), weights.blocks):
-        buf = ws.blocks[l]
-        mask = None
+    for l in range(0 if prefix is None else 1, weights.blocks):
         if dropping and l > 0:
             # x is ws.first here: block 0 wrote it.
-            mask = buf.dropout_mask
+            mask = ws.masks[l - 1]
             rng.random(out=ws.draw)
             np.greater_equal(ws.draw, config.dropout, out=ws.active)
             np.divide(ws.active, 1.0 - config.dropout, out=mask)
             np.multiply(x, mask, out=x)
-        mid_a = _kernel_product(kernel, x, buf.mid_a)
-        act_a = _relu_product(mid_a, mats[1 + 2 * l], buf.act_a)
-        mid_b = _kernel_product(kernel, act_a, buf.mid_b)
-        act_b = _relu_product(mid_b, mats[2 + 2 * l], buf.act_b)
-        x = np.add(act_b, first_act, out=ws.first)
-        block_traces.append(BlockTrace(mask, mid_a, act_a, mid_b, act_b))
+        _kernel_product(kernel, x, ws.mid_a[l])
+        _relu_product(ws.mid_a[l], mats[1 + 2 * l], ws.act_a[l])
+        _kernel_product(kernel, ws.act_a[l], ws.mid_b[l])
+        _relu_product(ws.mid_b[l], mats[2 + 2 * l], ws.act_b[l])
+        x = np.add(ws.act_b[l], ws.first_act, out=ws.first)
 
-    final_mid = _kernel_product(kernel, x, ws.final_mid)
-    final_act = np.tanh(final_mid @ mats[-1])
-    output = upscale_features(final_act, center, scale)
-    if not np.all(np.isfinite(output)):
+    _kernel_product(kernel, x, ws.final_mid)
+    ws.final_act = np.tanh(ws.final_mid @ mats[-1])
+    ws.output = upscale_features(ws.final_act, center, scale)
+    ws.scale, ws.dropped = scale, dropping
+    if not np.all(np.isfinite(ws.output)):
         raise TrainingDivergence("non-finite network output")
-
-    trace = ForwardTrace(
-        first_mid=first_mid, first_act=first_act,
-        block_traces=tuple(block_traces), final_mid=final_mid,
-        final_act=final_act, output=output, scale=scale,
-    )
-    return output, trace
+    return ws.output, ws
 
 
-def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
+def backward(trace: Workspace, weights: ModelWeights, kernel,
              grad_output: np.ndarray,
              workspace: Workspace | None = None, *,
              lane: futures.Executor | None = None) -> list[np.ndarray]:
@@ -381,8 +359,8 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
 
     The kernel is symmetric, so its transpose in the chain is itself.  It
     computes in the weights' dtype: the float64 output gradient is cast to it
-    after the tanh step.  The gradients are the arrays of ``workspace`` (a
-    fresh one when None), which the next call with it overwrites; the
+    after the tanh step.  The gradients are the arrays of ``workspace`` (the
+    trace's own when None), which the next call with it overwrites; the
     trace's arrays are only read.
 
     The weight gradients of the blocks and of the projection run on
@@ -392,12 +370,10 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
     gradients do not depend on the lane.
     """
     mats = weights.matrices
-    if workspace is None:
-        workspace = Workspace.for_batch(weights, trace.first_act.shape[0])
+    ws = trace if workspace is None else workspace
     lane = lane or _INLINE_LANE
     grads, active, product, spread, spread_a = (
-        workspace.grads, workspace.active, workspace.product, workspace.spread,
-        workspace.spread_a)
+        ws.grads, ws.active, ws.product, ws.spread, ws.spread_a)
     g_final = grad_output * (trace.scale + 1.0)
     g_zq = (g_final * (1.0 - trace.final_act ** 2)).astype(mats[-1].dtype, copy=False)
     # Each product with the kernel reads ``product``.  A block's g_a goes to
@@ -407,25 +383,24 @@ def backward(trace: ForwardTrace, weights: ModelWeights, kernel,
     # projection's job reads neither, but is waited for like a block's.
     reads_spread_a = lane.submit(np.matmul, trace.final_mid.T, g_zq, out=grads[-1])
     g_x = _kernel_product(kernel, np.matmul(g_zq, mats[-1].T, out=product), spread)
-    g_first = workspace.first
+    g_first = ws.first
     g_first.fill(0.0)
     for l in range(weights.blocks - 1, -1, -1):
-        bt = trace.block_traces[l]
         w_a = mats[1 + 2 * l]
         w_b = mats[2 + 2 * l]
         g_first += g_x
-        g_zb = np.multiply(g_x, np.greater(bt.act_b, 0, out=active), out=g_x)
-        reads_spread = lane.submit(np.matmul, bt.mid_b.T, g_zb, out=grads[2 + 2 * l])
+        g_zb = np.multiply(g_x, np.greater(trace.act_b[l], 0, out=active), out=g_x)
+        reads_spread = lane.submit(np.matmul, trace.mid_b[l].T, g_zb, out=grads[2 + 2 * l])
         np.matmul(g_zb, w_b.T, out=product)
         reads_spread_a.result()
         g_a = _kernel_product(kernel, product, spread_a)
-        g_za = np.multiply(g_a, np.greater(bt.act_a, 0, out=active), out=g_a)
-        reads_spread_a = lane.submit(np.matmul, bt.mid_a.T, g_za, out=grads[1 + 2 * l])
+        g_za = np.multiply(g_a, np.greater(trace.act_a[l], 0, out=active), out=g_a)
+        reads_spread_a = lane.submit(np.matmul, trace.mid_a[l].T, g_za, out=grads[1 + 2 * l])
         np.matmul(g_za, w_a.T, out=product)
         reads_spread.result()
         g_in = _kernel_product(kernel, product, spread)
-        if bt.dropout_mask is not None:
-            g_in *= bt.dropout_mask
+        if l > 0 and trace.dropped:
+            g_in *= trace.masks[l - 1]
         if l == 0:
             g_first += g_in
         else:
@@ -641,10 +616,6 @@ def _adam_update(updates, t: int, lr: float) -> None:
             np.subtract(w, b, out=w)
 
 
-# A loop may open a thread lane (see ``_training_lane``).  Processes that
-# share the cores among themselves, as ``run_experiment``'s workers do, clear it.
-thread_lanes = True
-
 # The thread-count getter of the OpenBLAS that numpy wheels bundle in
 # numpy.libs: scipy-openblas's name (numpy >= 2), then OpenBLAS's (numpy 1.x).
 _OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
@@ -683,18 +654,20 @@ def _training_lane() -> contextlib.AbstractContextManager[futures.Executor]:
     """The lane of one training loop, for a ``with`` block.
 
     A thread lane (a pool of one worker) pays only on a core of its own: it
-    opens when numpy's BLAS runs one thread, the process may use two cores or
-    more and ``thread_lanes`` is set.  A multi-threaded BLAS already spreads
-    each product over the cores, and the lane's products would contend with
-    its threads.  Otherwise, or where the BLAS thread count cannot be read,
-    the loop gets the inline lane and runs on its own thread alone.
+    opens when the process is not a ``multiprocessing`` child (such as
+    ``run_experiment``'s workers, which share the cores), numpy's BLAS runs
+    one thread and the process may use two cores or more.  A multi-threaded
+    BLAS already spreads each product over the cores, and the lane's products
+    would contend with its threads.  Otherwise, or where the BLAS thread count
+    cannot be read, the loop gets the inline lane and runs on its thread alone.
 
     Each ``np.matmul`` and ufunc is the same call on either lane, so the
     lane changes no result.  Leaving the block joins the thread, so no lane
     outlives its loop, and a process that forks between loops
     (``run_experiment`` with ``jobs > 1``) has none.
     """
-    if thread_lanes and _blas_threads() == 1 and _usable_cores() > 1:
+    import multiprocessing
+    if multiprocessing.parent_process() is None and _blas_threads() == 1 and _usable_cores() > 1:
         return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="resilinet-lane")
     return contextlib.nullcontext(_INLINE_LANE)
 
@@ -702,14 +675,14 @@ def _training_lane() -> contextlib.AbstractContextManager[futures.Executor]:
 def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence,
                kernel, start_remaining: np.ndarray, comm_range: float,
                config: Hyperparams, rng: np.random.Generator, workspace: Workspace,
-               prefix: ForwardTrace | None = None, *,
+               prefix: Workspace | None = None, *,
                lane: futures.Executor | None = None) -> LossHead:
     """One train-mode forward/backward/Adam update of ``weights`` and ``state`` in place.
 
     Returns the loss head.  Forward and backward run in ``workspace``,
-    ``prefix`` goes to ``forward`` and ``lane`` to ``backward`` and
-    ``adam_step``.  The gap penalty is one ``lagrange_s`` per communication
-    range of residual component gap.
+    ``prefix`` (None or ``workspace``) goes to ``forward`` and ``lane`` to
+    ``backward`` and ``adam_step``.  The gap penalty is one ``lagrange_s`` per
+    communication range of residual component gap.
     """
     output, trace = forward(weights, seq, kernel, config, train=True, rng=rng,
                             prefix=prefix, workspace=workspace)
@@ -717,7 +690,7 @@ def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence
         output, seq.n, seq.n_remaining, start_remaining, config.max_speed,
         comm_range, config.lagrange_s, config.lagrange_s / comm_range,
     )
-    grads = backward(trace, weights, kernel, head.grad_output, workspace, lane=lane)
+    grads = backward(trace, weights, kernel, head.grad_output, lane=lane)
     adam_step(weights, grads, state, config, lane=lane)
     return head
 
@@ -745,7 +718,8 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     """Train fresh weights on one random half-damage split scenario.
 
     Derives topology/damage/init/dropout seeds from the master seed, so the
-    whole run (and the persisted file) is reproducible bit for bit.  It
+    whole run (and the persisted file) is reproducible bit for bit for a
+    given BLAS thread count, which sets the order a large product sums in.  It
     trains in float64: in the acceptance replay at pretrain seeds 42-44, a
     float32 pretrain planned 0.22-0.36 s slower mean recovery at every seed.
     Its train steps share one workspace and one lane (``_training_lane``).
@@ -844,19 +818,17 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     state = AdamState.zeros(weights)
     workspace = Workspace.for_batch(weights, seq.batch_features.shape[0])
     rng = np.random.default_rng(seed)
-    eval_trace: ForwardTrace | None = None
     best_times = np.full(branches, np.inf)
     best_targets: list[np.ndarray | None] = [None] * branches
 
     with _training_lane() as lane:
-        for _ in range(config.online_iters):
-            # The eval forward wrote the whole workspace; this train forward
-            # keeps its first layer and block 0 and overwrites the rest, which
-            # the scored eval output no longer needs.
+        for iteration in range(config.online_iters):
+            # After the first, the eval forward wrote the whole workspace;
+            # this train forward keeps its first layer and block 0 and
+            # overwrites the rest, which the scored eval output no longer needs.
             train_step(weights, state, seq, kernel, start_remaining, comm_range, config, rng,
-                       workspace, prefix=eval_trace, lane=lane)
-            output, eval_trace = forward(weights, seq, kernel, config, train=False,
-                                         workspace=workspace)
+                       workspace, prefix=workspace if iteration else None, lane=lane)
+            output, _ = forward(weights, seq, kernel, config, train=False, workspace=workspace)
             metrics = per_branch_metrics(
                 output, n, n_r, start_remaining, config.max_speed, comm_range
             )

@@ -10,7 +10,7 @@ Experiments sweep damage sizes and methods over seeded trials.  Every trial
 derives its own random stream from (master seed, trial index), methods
 within one trial share the same topology and damage draw (paired
 comparison), and aggregation is a deterministic reduce, so a spec plus its
-seeds reproduces every number exactly.
+seeds reproduces every number exactly for a given BLAS thread count.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
-from . import gcn
 from .damage import DamageError, apply_damage
 from .gcn import Hyperparams, ModelWeights
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, RecoveryPlan,
@@ -357,8 +356,6 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(spec, weights, config):
-    # The workers share the cores, so none has a spare one for a training lane.
-    gcn.thread_lanes = False
     _WORKER_STATE["args"] = (spec, weights, config)
 
 

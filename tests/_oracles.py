@@ -234,15 +234,14 @@ def allocating_backward(trace, weights, kernel, grad_output):
     g_x = kernel @ (g_zq @ mats[-1].T)
     g_first = np.zeros_like(g_x)
     for l in range(weights.blocks - 1, -1, -1):
-        bt = trace.block_traces[l]
         g_first += g_x
-        g_zb = g_x * (bt.act_b > 0)
-        grads[2 + 2 * l] = bt.mid_b.T @ g_zb
-        g_za = (kernel @ (g_zb @ mats[2 + 2 * l].T)) * (bt.act_a > 0)
-        grads[1 + 2 * l] = bt.mid_a.T @ g_za
+        g_zb = g_x * (trace.act_b[l] > 0)
+        grads[2 + 2 * l] = trace.mid_b[l].T @ g_zb
+        g_za = (kernel @ (g_zb @ mats[2 + 2 * l].T)) * (trace.act_a[l] > 0)
+        grads[1 + 2 * l] = trace.mid_a[l].T @ g_za
         g_in = kernel @ (g_za @ mats[1 + 2 * l].T)
-        if bt.dropout_mask is not None:
-            g_in = g_in * bt.dropout_mask
+        if l > 0 and trace.dropped:
+            g_in = g_in * trace.masks[l - 1]
         if l == 0:
             g_first += g_in
         else:

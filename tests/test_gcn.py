@@ -1,10 +1,12 @@
 import base64
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 from concurrent import futures
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from resilinet import gcn, simulate
+from resilinet import gcn
 from resilinet.damage import DamageScenario, apply_damage, build_input_graph
 from resilinet.damage_graphs import build_graph_sequence, choose_branch_count, sparsity_report
 from resilinet.planner import plan_learned
@@ -224,7 +226,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         a, trace = forward(weights, seq, kernel, config, train=True, rng=rng)
         b, _ = forward(weights, seq, kernel, config, train=False)
-        assert trace.block_traces[1].dropout_mask is not None
+        assert trace.dropped and trace.masks.shape == (1, *trace.first_act.shape)
         assert not np.array_equal(a, b)
 
     def test_eval_trace_prefix_gives_the_same_train_forward(self):
@@ -238,11 +240,10 @@ class TestForward:
         shared, shared_trace = forward(weights, seq, kernel, config, train=True,
                                        rng=np.random.default_rng(5), prefix=eval_trace)
         assert shared.tobytes() == plain.tobytes()
-        assert shared_trace.block_traces[0] is eval_trace.block_traces[0]
-        for a, b in zip(plain_trace.block_traces, shared_trace.block_traces):
-            for field in ("mid_a", "act_a", "mid_b", "act_b"):
-                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-        assert [b.dropout_mask is None for b in shared_trace.block_traces] == [True, False, False]
+        assert shared_trace is eval_trace
+        for field in ("mid_a", "act_a", "mid_b", "act_b", "masks"):
+            assert getattr(plain_trace, field).tobytes() == getattr(shared_trace, field).tobytes()
+        assert shared_trace.dropped and shared_trace.masks.shape[0] == 2
         grads = [g.copy() for g in backward(plain_trace, weights, kernel, plain)]
         for a, b in zip(grads, backward(shared_trace, weights, kernel, shared)):
             assert a.tobytes() == b.tobytes()
@@ -600,7 +601,7 @@ class TestNetworkDtype:
     def test_weights_set_the_dtype_of_every_array_but_the_output(self, dtype):
         weights, out, trace, _, grads = self._step(dtype)
         assert out.dtype == np.float64
-        assert trace.block_traces[1].dropout_mask.dtype == dtype
+        assert trace.masks.dtype == dtype
         assert {a.dtype for a in (trace.first_mid, trace.first_act, trace.final_mid,
                                   trace.final_act)} == {np.dtype(dtype)}
         assert {g.dtype for g in grads} == {np.dtype(dtype)}
@@ -621,21 +622,25 @@ class TestNetworkDtype:
 
 
 def _trace_arrays(trace):
-    """Every array of a forward trace, in a fixed order; a missing mask is None."""
+    """Every array of a forward trace, in a fixed order; a mask the pass did not apply is None."""
     arrays = [trace.first_mid, trace.first_act]
-    for bt in trace.block_traces:
-        arrays.extend([bt.dropout_mask, bt.mid_a, bt.act_a, bt.mid_b, bt.act_b])
+    for l in range(trace.mid_a.shape[0]):
+        mask = trace.masks[l - 1] if l > 0 and trace.dropped else None
+        arrays.extend([mask, trace.mid_a[l], trace.act_a[l], trace.mid_b[l], trace.act_b[l]])
     return arrays + [trace.final_mid, trace.final_act, trace.output]
 
 
 def _workspace_arrays(workspace):
-    arrays = [workspace.first_mid, workspace.first_act, workspace.final_mid,
-              *workspace.grads, workspace.first, workspace.product, workspace.spread,
-              workspace.spread_a, workspace.active, workspace.draw]
-    for bt in workspace.blocks:
-        arrays.extend(a for a in (bt.dropout_mask, bt.mid_a, bt.act_a, bt.mid_b, bt.act_b)
-                      if a is not None)
-    return arrays
+    return [workspace.first_mid, workspace.first_act, workspace.mid_a, workspace.act_a,
+            workspace.mid_b, workspace.act_b, workspace.masks, workspace.final_mid,
+            *workspace.grads, workspace.first, workspace.product, workspace.spread,
+            workspace.spread_a, workspace.active, workspace.draw]
+
+
+def _lane_in_worker():
+    """This process's BLAS and core probes and whether a training loop here trains inline."""
+    with gcn._training_lane() as lane:
+        return gcn._blas_threads(), gcn._usable_cores(), lane is gcn._INLINE_LANE
 
 
 class DeferredLane(futures.Executor):
@@ -708,12 +713,18 @@ class TestWorkspace:
     def test_backward_on_a_lane_matches_calls_with_fresh_arrays(self, dtype, lane):
         self.check_calls_in_one_workspace(dtype, lane)
 
-    def check_calls_in_one_workspace(self, dtype, lane):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_block_calls_match_calls_with_fresh_arrays(self, dtype, lane):
+        # No block takes a mask: the workspace's mask array is (0, rows, d).
+        self.check_calls_in_one_workspace(dtype, lane, blocks=1)
+
+    def check_calls_in_one_workspace(self, dtype, lane, blocks=3):
         _, _, _, seq = small_case(33, n=16, n_d=7, branches=3)
         kernel = build_kernel(seq).astype(dtype)
         rows = seq.batch_features.shape[0]
-        first = _as_dtype(ModelWeights.init_scaled_uniform(8, 3, seed=4), dtype)
-        second = _as_dtype(ModelWeights.init_scaled_uniform(8, 3, seed=5), dtype)
+        config = replace(self.CONFIG, blocks=blocks)
+        first = _as_dtype(ModelWeights.init_scaled_uniform(8, blocks, seed=4), dtype)
+        second = _as_dtype(ModelWeights.init_scaled_uniform(8, blocks, seed=5), dtype)
         workspace = gcn.Workspace.for_batch(first, rows)
         owned = _workspace_arrays(workspace)
         grad_output = np.random.default_rng(7).normal(size=(rows, 2))
@@ -724,11 +735,11 @@ class TestWorkspace:
             """Traces and gradients in the workspace on the lane and with fresh arrays
             on none; all must equal the oracles'."""
             rng_ws, rng_fresh, rng_oracle = rngs if train else (None, None, None)
-            _, expected = allocating_forward(weights, seq, kernel, self.CONFIG, train, rng_oracle)
+            _, expected = allocating_forward(weights, seq, kernel, config, train, rng_oracle)
             traces, grads = [], []
             for rng, prefix, ws, on in zip((rng_ws, rng_fresh), prefixes, (workspace, None),
                                            (lane, None)):
-                _, trace = forward(weights, seq, kernel, self.CONFIG, train=train, rng=rng,
+                _, trace = forward(weights, seq, kernel, config, train=train, rng=rng,
                                    prefix=prefix, workspace=ws)
                 for a, b in zip(_trace_arrays(trace), expected, strict=True):
                     assert (a is None) == (b is None)
@@ -746,11 +757,50 @@ class TestWorkspace:
         # Train with dropout, eval, then train with the eval trace as prefix,
         # each on weights that differ from the previous call's.
         trace, _ = both(first, True)
-        assert [bt.dropout_mask is None for bt in trace.block_traces] == [True, False, False]
+        assert trace.dropped and trace.masks.shape == (blocks - 1, rows, 8)
         eval_trace, eval_trace_fresh = both(second, False)
+        assert not eval_trace.dropped
         trace, _ = both(second, True, (eval_trace, eval_trace_fresh))
-        assert trace.block_traces[0] is eval_trace.block_traces[0]
-        assert trace.block_traces[1].mid_a is eval_trace.block_traces[1].mid_a
+        assert trace is eval_trace
+
+    def test_a_prefix_must_be_the_workspaces_own_trace(self):
+        _, _, _, seq = small_case(33, n=16, n_d=7)
+        kernel = build_kernel(seq)
+        weights = ModelWeights.init_scaled_uniform(8, 3, seed=4)
+        _, other = forward(weights, seq, kernel, self.CONFIG)
+        workspace = gcn.Workspace.for_batch(weights, seq.batch_features.shape[0])
+        with pytest.raises(ValueError, match="prefix"):
+            forward(weights, seq, kernel, self.CONFIG, prefix=other, workspace=workspace)
+        assert workspace.output is None
+
+    def test_a_train_pass_without_dropout_applies_no_mask_left_in_the_workspace(self):
+        _, _, _, seq = small_case(33, n=16, n_d=7)
+        kernel = build_kernel(seq)
+        weights = ModelWeights.init_scaled_uniform(8, 3, seed=4)
+        workspace = gcn.Workspace.for_batch(weights, seq.batch_features.shape[0])
+        forward(weights, seq, kernel, self.CONFIG, train=True, rng=np.random.default_rng(6),
+                workspace=workspace)
+        no_dropout = replace(self.CONFIG, dropout=0.0)
+        _, trace = forward(weights, seq, kernel, no_dropout, train=True, workspace=workspace)
+        assert not trace.dropped
+        grad_output = np.random.default_rng(7).normal(size=trace.output.shape)
+        grads = [g.copy() for g in backward(trace, weights, kernel, grad_output)]
+        _, eval_trace = forward(weights, seq, kernel, self.CONFIG)
+        for g, g_eval in zip(grads, backward(eval_trace, weights, kernel, grad_output),
+                             strict=True):
+            assert g.tobytes() == g_eval.tobytes()
+
+    def test_backward_without_a_workspace_writes_into_the_traces_own(self):
+        _, _, _, seq = small_case(33, n=16, n_d=7)
+        kernel = build_kernel(seq)
+        weights = ModelWeights.init_scaled_uniform(8, 3, seed=4)
+        _, trace = forward(weights, seq, kernel, self.CONFIG, train=True,
+                           rng=np.random.default_rng(6))
+        before = [a.tobytes() for a in _trace_arrays(trace) if a is not None]
+        grad_output = np.random.default_rng(7).normal(size=trace.output.shape)
+        grads = backward(trace, weights, kernel, grad_output)
+        assert [a.tobytes() for a in _trace_arrays(trace) if a is not None] == before
+        assert all(g is w for g, w in zip(grads, trace.grads, strict=True))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_adam_steps_on_a_lane_equal_the_functional_form(self, dtype, lane):
@@ -784,27 +834,26 @@ class TestTrainingLane:
         assert len(lanes) == 2
         assert not any(thread.is_alive() for thread in lanes)
 
-    @pytest.mark.parametrize("blas_threads, cores, enabled, opens", [
-        (1, 2, True, True), (1, 8, True, True),
-        (2, 2, True, False), (8, 8, True, False), (None, 2, True, False),
-        (1, 1, True, False), (1, 2, False, False),
+    @pytest.mark.parametrize("blas_threads, cores, opens", [
+        (1, 2, True), (1, 8, True), (2, 2, False), (8, 8, False), (None, 2, False),
+        (1, 1, False),
     ])
     def test_a_thread_lane_opens_only_beside_a_one_thread_blas_on_a_spare_core(
-            self, monkeypatch, blas_threads, cores, enabled, opens):
+            self, monkeypatch, blas_threads, cores, opens):
         monkeypatch.setattr(gcn, "_blas_threads", lambda: blas_threads)
         monkeypatch.setattr(gcn, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(gcn, "thread_lanes", enabled)
         with gcn._training_lane() as lane:
             assert isinstance(lane, futures.ThreadPoolExecutor) == opens
             assert (lane is gcn._INLINE_LANE) != opens
 
     def test_experiment_workers_train_inline(self, monkeypatch):
-        monkeypatch.setattr(gcn, "thread_lanes", True)
-        monkeypatch.setattr(simulate, "_WORKER_STATE", {})
-        simulate._init_worker(None, None, None)
-        assert gcn.thread_lanes is False
-        with gcn._training_lane() as lane:
-            assert lane is gcn._INLINE_LANE
+        # The forked worker inherits the patched probes, which would open a
+        # thread lane in this process; the workers share the cores.
+        monkeypatch.setattr(gcn, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(gcn, "_usable_cores", lambda: 2)
+        fork = multiprocessing.get_context("fork")
+        with futures.ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+            assert pool.submit(_lane_in_worker).result(timeout=120) == (1, 2, True)
 
     def test_blas_thread_probe_reads_the_thread_count(self):
         if gcn._blas_threads() is None:
