@@ -13,10 +13,12 @@ needs into a preallocated workspace, which is its trace and also holds the
 gradients; gradients are derived manually (the sub-net penalty is piecewise
 constant, so training uses a spanning-tree gap surrogate whose gradient
 pulls the closest node pair of disconnected components together), and the
-optimizer is a plain Adam that updates the weights in place.  Where BLAS
-runs one thread and a core is spare, a training loop hands the weight
-gradients and half of Adam to a second thread, its lane, so that work runs
-beside the backward chain.
+optimizer is a plain Adam that updates the weights in place.  No branch's
+rows read another branch's at any layer, so every forward pass runs in two
+halves of the batch, cut at a branch boundary.  Where BLAS runs one thread
+and a core is spare, a training loop hands one half of each forward, the
+weight gradients and half of Adam to a second thread, its lane, so that work
+runs beside the caller's half and the backward chain.
 """
 from __future__ import annotations
 
@@ -266,18 +268,24 @@ class _InlineLane(futures.Executor):
 _INLINE_LANE = _InlineLane()
 
 
-def _kernel_product(kernel: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _kernel_product(kernel: sparse.csr_matrix, x: np.ndarray, out: np.ndarray,
+                    rows: slice = slice(None)) -> np.ndarray:
     """``kernel @ x`` written into ``out``, a C-contiguous array of their dtype; returns out.
 
     It zeroes ``out`` and calls scipy's CSR routine as ``kernel @ x`` does
     (scipy 1.17's ``_cs_matrix._matmul_multivector``), so the bytes are the
     same.  For one column ``kernel @ x`` calls ``csr_matvec`` instead, which
-    adds in the same order.
+    adds in the same order.  ``rows``, a range of step 1, limits the product
+    to those rows of the kernel and of ``out``, and leaves the other rows of
+    ``out`` alone; each row sums as in the whole product.  On the batch's
+    block-diagonal kernel a range that starts and ends on a branch boundary
+    reads only its own rows of ``x``.
     """
-    rows, cols = kernel.shape
-    out.fill(0)
-    _sparsetools.csr_matvecs(rows, cols, x.shape[1], kernel.indptr, kernel.indices,
-                             kernel.data, x.ravel(), out.ravel())
+    lo, hi, _ = rows.indices(kernel.shape[0])
+    part = out[lo:hi]
+    part.fill(0)
+    _sparsetools.csr_matvecs(hi - lo, kernel.shape[1], x.shape[1], kernel.indptr[lo:hi + 1],
+                             kernel.indices, kernel.data, x.ravel(), part.ravel())
     return out
 
 
@@ -291,7 +299,8 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
             config: Hyperparams, train: bool = False,
             rng: np.random.Generator | None = None,
             prefix: Workspace | None = None, *,
-            workspace: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
+            workspace: Workspace | None = None,
+            lane: futures.Executor | None = None) -> tuple[np.ndarray, Workspace]:
     """Run the network on the batch; returns (output positions, trace).
 
     Computes in the dtype of the weights, which the CSR kernel must share:
@@ -309,6 +318,15 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
     with weights equal to these, supplies them: the pass starts at block 1,
     and the result is bit-identical.  A prefix that is not the workspace
     raises ValueError.
+
+    No branch's rows read another branch's at any layer, so the pass runs in
+    two halves of the batch that meet at a branch boundary: this thread takes
+    the first ceil(K/2) branches and ``lane`` (as in ``backward``) the rest,
+    each up to the final sparse product.  The masks are drawn before the
+    split, in block order, and the projection to 2-D runs on the whole batch
+    after it.  The split is made on every lane, so the bytes do not depend
+    on it; a half's dense products are row blocks of the whole pass's, which
+    OpenBLAS 0.3.31 sums alike at the network's default width (see README).
     """
     mats = weights.matrices
     dropping = train and config.dropout > 0.0
@@ -321,34 +339,59 @@ def forward(weights: ModelWeights, seq: DamageGraphSequence, kernel,
         raise ValueError("a forward's prefix must be its workspace's own trace")
 
     x_rows, center, scale = normalize_features(seq.batch_features[:seq.n])
-    if prefix is None:
-        tiled = np.tile(x_rows, (seq.branches, 1)).astype(mats[0].dtype, copy=False)
-        _kernel_product(kernel, tiled, ws.first_mid)
-        x = _relu_product(ws.first_mid, mats[0], ws.first_act)
-    else:
-        x = np.add(ws.act_b[0], ws.first_act, out=ws.first)
-
-    for l in range(0 if prefix is None else 1, weights.blocks):
-        if dropping and l > 0:
-            # x is ws.first here: block 0 wrote it.
-            mask = ws.masks[l - 1]
+    if dropping:
+        # Blocks >= 1 in order, as one stream: the masks a pass draws block
+        # by block.
+        for mask in ws.masks:
             rng.random(out=ws.draw)
             np.greater_equal(ws.draw, config.dropout, out=ws.active)
             np.divide(ws.active, 1.0 - config.dropout, out=mask)
-            np.multiply(x, mask, out=x)
-        _kernel_product(kernel, x, ws.mid_a[l])
-        _relu_product(ws.mid_a[l], mats[1 + 2 * l], ws.act_a[l])
-        _kernel_product(kernel, ws.act_a[l], ws.mid_b[l])
-        _relu_product(ws.mid_b[l], mats[2 + 2 * l], ws.act_b[l])
-        x = np.add(ws.act_b[l], ws.first_act, out=ws.first)
+    tiled = None if prefix is not None else np.tile(x_rows, (seq.branches, 1)).astype(
+        mats[0].dtype, copy=False)
+    split = -(-seq.branches // 2) * seq.n
+    half = (lane or _INLINE_LANE).submit(_forward_rows, ws, weights, kernel, tiled, dropping,
+                                         slice(split, None))
+    try:
+        _forward_rows(ws, weights, kernel, tiled, dropping, slice(0, split))
+    finally:
+        half.result()
 
-    _kernel_product(kernel, x, ws.final_mid)
     ws.final_act = np.tanh(ws.final_mid @ mats[-1])
     ws.output = upscale_features(ws.final_act, center, scale)
     ws.scale, ws.dropped = scale, dropping
     if not np.all(np.isfinite(ws.output)):
         raise TrainingDivergence("non-finite network output")
     return ws.output, ws
+
+
+def _forward_rows(ws: Workspace, weights: ModelWeights, kernel, tiled: np.ndarray | None,
+                  dropping: bool, rows: slice) -> None:
+    """``forward`` on the batch rows ``rows``, a range of whole branches, to ``final_mid``.
+
+    ``tiled`` holds the input rows, or is None to start from the workspace's
+    block 0 (a prefix); ``dropping`` applies the workspace's masks.  Only
+    these rows of the workspace are written, and only these are read.
+    """
+    mats = weights.matrices
+    first_act, x = ws.first_act[rows], ws.first[rows]
+    if tiled is None:
+        np.add(ws.act_b[0][rows], first_act, out=x)
+        inputs, start = ws.first, 1
+    else:
+        _kernel_product(kernel, tiled, ws.first_mid, rows)
+        _relu_product(ws.first_mid[rows], mats[0], first_act)
+        inputs, start = ws.first_act, 0
+    for l in range(start, weights.blocks):
+        if dropping and l > 0:
+            # inputs is ws.first here: block 0 wrote it.
+            np.multiply(x, ws.masks[l - 1][rows], out=x)
+        _kernel_product(kernel, inputs, ws.mid_a[l], rows)
+        _relu_product(ws.mid_a[l][rows], mats[1 + 2 * l], ws.act_a[l][rows])
+        _kernel_product(kernel, ws.act_a[l], ws.mid_b[l], rows)
+        _relu_product(ws.mid_b[l][rows], mats[2 + 2 * l], ws.act_b[l][rows])
+        np.add(ws.act_b[l][rows], first_act, out=x)
+        inputs = ws.first
+    _kernel_product(kernel, inputs, ws.final_mid, rows)
 
 
 def backward(trace: Workspace, weights: ModelWeights, kernel,
@@ -661,10 +704,12 @@ def _training_lane() -> contextlib.AbstractContextManager[futures.Executor]:
     would contend with its threads.  Otherwise, or where the BLAS thread count
     cannot be read, the loop gets the inline lane and runs on its thread alone.
 
-    Each ``np.matmul`` and ufunc is the same call on either lane, so the
-    lane changes no result.  Leaving the block joins the thread, so no lane
-    outlives its loop, and a process that forks between loops
-    (``run_experiment`` with ``jobs > 1``) has none.
+    Each ``np.matmul`` and ufunc is the same call on either lane, and a
+    forward splits its batch the same way on each, so the lane changes no
+    result.  The lane runs only this module's private helpers and numpy.
+    Leaving the block joins the thread, so no lane outlives its loop, and a
+    process that forks between loops (``run_experiment`` with ``jobs > 1``)
+    has none.
     """
     import multiprocessing
     if multiprocessing.parent_process() is None and _blas_threads() == 1 and _usable_cores() > 1:
@@ -681,11 +726,11 @@ def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence
 
     Returns the loss head.  Forward and backward run in ``workspace``,
     ``prefix`` (None or ``workspace``) goes to ``forward`` and ``lane`` to
-    ``backward`` and ``adam_step``.  The gap penalty is one ``lagrange_s`` per
-    communication range of residual component gap.
+    ``forward``, ``backward`` and ``adam_step``.  The gap penalty is one
+    ``lagrange_s`` per communication range of residual component gap.
     """
     output, trace = forward(weights, seq, kernel, config, train=True, rng=rng,
-                            prefix=prefix, workspace=workspace)
+                            prefix=prefix, workspace=workspace, lane=lane)
     head = loss_head(
         output, seq.n, seq.n_remaining, start_remaining, config.max_speed,
         comm_range, config.lagrange_s, config.lagrange_s / comm_range,
@@ -722,7 +767,8 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     given BLAS thread count, which sets the order a large product sums in.  It
     trains in float64: in the acceptance replay at pretrain seeds 42-44, a
     float32 pretrain planned 0.22-0.36 s slower mean recovery at every seed.
-    Its train steps share one workspace and one lane (``_training_lane``).
+    Its train steps share one workspace and one lane (``_training_lane``),
+    which runs half of each forward, the weight gradients and half of Adam.
     """
     config = config or Hyperparams()
     topo_seed, damage_seed, init_seed, dropout_seed = (
@@ -796,8 +842,9 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     After each train-mode step, an eval-mode forward scores every branch; the
     best feasible candidate per branch over all iterations is retained.  That
     eval trace is the next train forward's ``prefix``, and both run in one
-    ``Workspace``, so the solver holds one forward trace, and the train steps
-    share one lane (``_training_lane``).  Runs exactly
+    ``Workspace``, so the solver holds one forward trace, and both passes
+    share one lane (``_training_lane``), which also runs half of the eval
+    forward.  Runs exactly
     ``config.online_iters`` iterations, or none when the survivors start
     connected.  An entirely infeasible run is a value, not an error: every
     time is ``inf``.  The search chooses no branch; ``planner.plan_learned``
@@ -828,7 +875,8 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
             # overwrites the rest, which the scored eval output no longer needs.
             train_step(weights, state, seq, kernel, start_remaining, comm_range, config, rng,
                        workspace, prefix=workspace if iteration else None, lane=lane)
-            output, _ = forward(weights, seq, kernel, config, train=False, workspace=workspace)
+            output, _ = forward(weights, seq, kernel, config, train=False, workspace=workspace,
+                                lane=lane)
             metrics = per_branch_metrics(
                 output, n, n_r, start_remaining, config.max_speed, comm_range
             )

@@ -695,14 +695,22 @@ class TestWorkspace:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("columns", [1, 2, 8])
     def test_kernel_product_is_the_sparse_matmul(self, dtype, columns):
-        _, _, _, seq = small_case(33, n=16, n_d=7)
+        _, _, _, seq = small_case(33, n=16, n_d=7, branches=3)
         kernel = build_kernel(seq).astype(dtype)
         x = np.random.default_rng(columns).normal(size=(kernel.shape[0], columns)).astype(dtype)
-        out = np.full_like(x, np.nan)
-        assert gcn._kernel_product(kernel, x, out) is out
         expected = kernel @ x
-        assert out.dtype == expected.dtype
-        assert out.tobytes() == expected.tobytes()
+        # The whole product, a range of whole branches (whose product reads
+        # no row of x outside it), the first branch and an empty range.
+        for rows in (slice(None), slice(16, 48), slice(0, 16), slice(16, 16)):
+            out = np.full_like(x, np.nan)
+            outside = np.ones(len(x), dtype=bool)
+            outside[rows] = False
+            x_in = x.copy()
+            x_in[outside] = np.nan
+            assert gcn._kernel_product(kernel, x_in, out, rows) is out
+            assert out.dtype == expected.dtype
+            assert out[rows].tobytes() == expected[rows].tobytes()
+            assert np.isnan(out[outside]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_calls_in_one_workspace_match_calls_with_fresh_arrays(self, dtype):
@@ -719,7 +727,13 @@ class TestWorkspace:
         self.check_calls_in_one_workspace(dtype, lane, blocks=1)
 
     def check_calls_in_one_workspace(self, dtype, lane, blocks=3):
-        _, _, _, seq = small_case(33, n=16, n_d=7, branches=3)
+        # At K = 1 the lane's half of each forward is empty; at K = 3 and 4
+        # the caller's half is two branches.
+        for branches in (1, 3, 4):
+            self.check_calls_on_a_batch(dtype, lane, blocks, branches)
+
+    def check_calls_on_a_batch(self, dtype, lane, blocks, branches):
+        _, _, _, seq = small_case(33, n=16, n_d=7, branches=branches)
         kernel = build_kernel(seq).astype(dtype)
         rows = seq.batch_features.shape[0]
         config = replace(self.CONFIG, blocks=blocks)
@@ -740,7 +754,7 @@ class TestWorkspace:
             for rng, prefix, ws, on in zip((rng_ws, rng_fresh), prefixes, (workspace, None),
                                            (lane, None)):
                 _, trace = forward(weights, seq, kernel, config, train=train, rng=rng,
-                                   prefix=prefix, workspace=ws)
+                                   prefix=prefix, workspace=ws, lane=on)
                 for a, b in zip(_trace_arrays(trace), expected, strict=True):
                     assert (a is None) == (b is None)
                     assert a is None or a.tobytes() == b.tobytes()
@@ -808,19 +822,49 @@ class TestWorkspace:
         with mock.patch.object(gcn, "ADAM_SLICE_BYTES", 50 * np.dtype(dtype).itemsize):
             TestAdam._compare_with_functional(24, 2, 3, 1e-3, 11, dtype, lane)
 
+    @pytest.mark.parametrize("dtype, n, branches", [
+        (np.float32, 50, 4), (np.float32, 50, 5), (np.float64, 100, 6),
+    ])
+    def test_a_split_forward_at_the_default_width_is_the_whole_pass(self, dtype, n, branches):
+        """Forward on a thread lane, in halves of the batch, gives the bytes of
+        the unsplit oracle at d = 512 and 3 blocks: the shapes of the solver
+        at n = 50 (float32) and of pretraining at n = 100 (float64).
+
+        This checks measured OpenBLAS behaviour, not a guarantee: a row block
+        of a product sums as the whole product does at this width, and the
+        benchmark digests rely on it.
+        """
+        _, _, _, seq = small_case(3, n=n, n_d=n // 2, branches=branches)
+        kernel = build_kernel(seq).astype(dtype)
+        config = Hyperparams()
+        weights = _as_dtype(ModelWeights.init_scaled_uniform(512, 3, seed=4), dtype)
+        with futures.ThreadPoolExecutor(max_workers=1) as lane:
+            for train in (True, False):
+                rng, rng_oracle = (np.random.default_rng(6) if train else None for _ in range(2))
+                _, expected = allocating_forward(weights, seq, kernel, config, train, rng_oracle)
+                _, trace = forward(weights, seq, kernel, config, train=train, rng=rng, lane=lane)
+                for a, b in zip(_trace_arrays(trace), expected, strict=True):
+                    assert (a is None) == (b is None)
+                    assert a is None or a.tobytes() == b.tobytes()
+
 
 class TestTrainingLane:
     def test_no_lane_outlives_its_training_loop(self, monkeypatch):
         # A lane alive when run_experiment forks would be a pool without a
-        # worker in every child.
-        workers = set()
-        update = gcn._adam_update
+        # worker in every child.  The threads that ran Adam's halves and the
+        # forward's halves are recorded.
+        workers = {"_adam_update": set(), "_forward_rows": set()}
 
-        def recorded(*args):
-            workers.add(threading.current_thread())
-            return update(*args)
+        def recording(name):
+            run = getattr(gcn, name)
 
-        monkeypatch.setattr(gcn, "_adam_update", recorded)
+            def recorded(*args):
+                workers[name].add(threading.current_thread())
+                return run(*args)
+            return recorded
+
+        for name in workers:
+            monkeypatch.setattr(gcn, name, recording(name))
         monkeypatch.setattr(gcn, "_blas_threads", lambda: 1)
         monkeypatch.setattr(gcn, "_usable_cores", lambda: 2)
         before = threading.active_count()
@@ -830,7 +874,9 @@ class TestTrainingLane:
         weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
         solve(graph_in, seq, build_kernel(seq), weights, topo.comm_range, TINY, seed=2)
         assert threading.active_count() == before
-        lanes = workers - {threading.current_thread()}
+        # Both run on this thread and on the one lane of each loop.
+        assert workers["_adam_update"] == workers["_forward_rows"]
+        lanes = workers["_forward_rows"] - {threading.current_thread()}
         assert len(lanes) == 2
         assert not any(thread.is_alive() for thread in lanes)
 
