@@ -1,7 +1,7 @@
 """Command-line pipeline: gen, damage, pretrain, plan, simulate, experiment, report.
 
-Every command is reproducible from (config, seed) for a given BLAS thread
-count and echoes its effective configuration into the output metadata.
+Every command is reproducible from (config, seed) and echoes its effective
+configuration into the output metadata.
 ``_options`` resolves every option once: flags over config file over
 defaults; the RESILINET_SEED environment variable supplies the seed when
 neither a flag nor the config file does.  One ``max_speed`` drives the

@@ -15,10 +15,10 @@ constant, so training uses a spanning-tree gap surrogate whose gradient
 pulls the closest node pair of disconnected components together), and the
 optimizer is a plain Adam that updates the weights in place.  No branch's
 rows read another branch's at any layer, so every forward pass runs in two
-halves of the batch, cut at a branch boundary.  Where BLAS runs one thread
-and a core is spare, a training loop hands one half of each forward, the
-weight gradients and half of Adam to a second thread, its lane, so that work
-runs beside the caller's half and the backward chain.
+halves of the batch, cut at a branch boundary.  Each training loop sets
+numpy's OpenBLAS to one thread, process-wide, while it runs; where a core is
+spare it hands one half of each forward, the weight gradients and half of
+Adam to a second thread, its lane, beside the caller's half and backward.
 """
 from __future__ import annotations
 
@@ -659,31 +659,22 @@ def _adam_update(updates, t: int, lr: float) -> None:
             np.subtract(w, b, out=w)
 
 
-# The thread-count getter of the OpenBLAS that numpy wheels bundle in
-# numpy.libs: scipy-openblas's name (numpy >= 2), then OpenBLAS's (numpy 1.x).
-_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
-
-
 @functools.cache
-def _openblas_thread_getter():
-    """numpy's OpenBLAS ``get_num_threads`` as a ctypes function, or None if not found."""
+def _openblas_threads():
+    """``(get_num_threads, set_num_threads)`` of numpy.libs' OpenBLAS via ctypes, or None."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for name in _OPENBLAS_THREAD_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return getter
+        for prefix in ("scipy_openblas", "openblas"):  # numpy >= 2, numpy 1.x
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
-
-
-def _blas_threads() -> int | None:
-    """The threads numpy's BLAS runs a product on now, or None where that is unknown."""
-    getter = _openblas_thread_getter()
-    return None if getter is None else getter()
 
 
 def _usable_cores() -> int:
@@ -693,28 +684,39 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _training_lane() -> contextlib.AbstractContextManager[futures.Executor]:
-    """The lane of one training loop, for a ``with`` block.
+@contextlib.contextmanager
+def _training_lane():
+    """The lane of one training loop, for a ``with`` block, at one BLAS thread.
 
-    A thread lane (a pool of one worker) pays only on a core of its own: it
-    opens when the process is not a ``multiprocessing`` child (such as
-    ``run_experiment``'s workers, which share the cores), numpy's BLAS runs
-    one thread and the process may use two cores or more.  A multi-threaded
-    BLAS already spreads each product over the cores, and the lane's products
-    would contend with its threads.  Otherwise, or where the BLAS thread count
-    cannot be read, the loop gets the inline lane and runs on its thread alone.
+    The block sets numpy's OpenBLAS to one thread and restores the caller's
+    count when it ends, raised or not, so a fixed seed gives one answer
+    whatever ``OPENBLAS_NUM_THREADS`` says.  The count is process-wide: BLAS
+    run on another thread during the loop gets one thread too.  A thread lane
+    (a pool of one worker) then opens unless the process is a
+    ``multiprocessing`` child (``run_experiment``'s workers share the cores)
+    or may use one core only; otherwise, and where numpy's OpenBLAS is not
+    found (the count then stays), the loop runs inline on its thread alone.
 
-    Each ``np.matmul`` and ufunc is the same call on either lane, and a
-    forward splits its batch the same way on each, so the lane changes no
-    result.  The lane runs only this module's private helpers and numpy.
-    Leaving the block joins the thread, so no lane outlives its loop, and a
-    process that forks between loops (``run_experiment`` with ``jobs > 1``)
-    has none.
+    Either lane makes the same ``np.matmul`` and ufunc calls, and a forward
+    splits its batch alike on each, so the lane changes no result; it runs
+    only this module's private helpers and numpy.  Leaving the block joins
+    the thread, so no lane outlives its loop, and a process that forks
+    between loops (``run_experiment`` with ``jobs > 1``) has none.
     """
     import multiprocessing
-    if multiprocessing.parent_process() is None and _blas_threads() == 1 and _usable_cores() > 1:
-        return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="resilinet-lane")
-    return contextlib.nullcontext(_INLINE_LANE)
+    if (blas := _openblas_threads()) is None:
+        yield _INLINE_LANE
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        opens = multiprocessing.parent_process() is None and _usable_cores() > 1
+        with (futures.ThreadPoolExecutor(1, "resilinet-lane") if opens
+              else contextlib.nullcontext(_INLINE_LANE)) as lane:
+            yield lane
+    finally:
+        set_(threads)
 
 
 def train_step(weights: ModelWeights, state: AdamState, seq: DamageGraphSequence,
@@ -763,10 +765,9 @@ def pretrain(n: int, density_per_km2: float, comm_range: float, seed: int,
     """Train fresh weights on one random half-damage split scenario.
 
     Derives topology/damage/init/dropout seeds from the master seed, so the
-    whole run (and the persisted file) is reproducible bit for bit for a
-    given BLAS thread count, which sets the order a large product sums in.  It
-    trains in float64: in the acceptance replay at pretrain seeds 42-44, a
-    float32 pretrain planned 0.22-0.36 s slower mean recovery at every seed.
+    whole run (and the persisted file) is reproducible bit for bit.  It trains
+    in float64: in the acceptance replay at pretrain seeds 42-44, a float32
+    pretrain planned 0.22-0.36 s slower mean recovery at every seed.
     Its train steps share one workspace and one lane (``_training_lane``),
     which runs half of each forward, the weight gradients and half of Adam.
     """
@@ -844,11 +845,10 @@ def solve(input_graph: InputGraph, seq: DamageGraphSequence, kernel,
     eval trace is the next train forward's ``prefix``, and both run in one
     ``Workspace``, so the solver holds one forward trace, and both passes
     share one lane (``_training_lane``), which also runs half of the eval
-    forward.  Runs exactly
-    ``config.online_iters`` iterations, or none when the survivors start
-    connected.  An entirely infeasible run is a value, not an error: every
-    time is ``inf``.  The search chooses no branch; ``planner.plan_learned``
-    does.
+    forward.  Runs exactly ``config.online_iters`` iterations, or none when
+    the survivors start connected.  An entirely infeasible run is a value,
+    not an error: every time is ``inf``.  The search chooses no branch;
+    ``planner.plan_learned`` does.
     """
     config = config or Hyperparams()
     n, n_r = seq.n, seq.n_remaining

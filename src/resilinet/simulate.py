@@ -10,7 +10,7 @@ Experiments sweep damage sizes and methods over seeded trials.  Every trial
 derives its own random stream from (master seed, trial index), methods
 within one trial share the same topology and damage draw (paired
 comparison), and aggregation is a deterministic reduce, so a spec plus its
-seeds reproduces every number exactly for a given BLAS thread count.
+seeds reproduces every number exactly.
 """
 from __future__ import annotations
 

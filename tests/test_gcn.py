@@ -638,9 +638,24 @@ def _workspace_arrays(workspace):
 
 
 def _lane_in_worker():
-    """This process's BLAS and core probes and whether a training loop here trains inline."""
+    """Whether a training loop in this process trains inline, and its BLAS thread count."""
+    blas = gcn._openblas_threads()
     with gcn._training_lane() as lane:
-        return gcn._blas_threads(), gcn._usable_cores(), lane is gcn._INLINE_LANE
+        return lane is gcn._INLINE_LANE, blas and blas[0]()
+
+
+class FakeBlas:
+    """numpy's OpenBLAS thread count as ``_openblas_threads`` gives it, recording each set."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.threads = threads
+        self.sets.append(threads)
 
 
 class DeferredLane(futures.Executor):
@@ -865,7 +880,8 @@ class TestTrainingLane:
 
         for name in workers:
             monkeypatch.setattr(gcn, name, recording(name))
-        monkeypatch.setattr(gcn, "_blas_threads", lambda: 1)
+        blas = FakeBlas(2)
+        monkeypatch.setattr(gcn, "_openblas_threads", lambda: (blas.get, blas.set))
         monkeypatch.setattr(gcn, "_usable_cores", lambda: 2)
         before = threading.active_count()
         pretrain(16, 200.0, 120.0, seed=5, config=TINY)
@@ -880,39 +896,64 @@ class TestTrainingLane:
         assert len(lanes) == 2
         assert not any(thread.is_alive() for thread in lanes)
 
-    @pytest.mark.parametrize("blas_threads, cores, opens", [
-        (1, 2, True), (1, 8, True), (2, 2, False), (8, 8, False), (None, 2, False),
-        (1, 1, False),
+    @pytest.mark.parametrize("found, cores, opens", [
+        (True, 2, True), (True, 8, True), (True, 1, False), (False, 2, False), (False, 8, False),
     ])
     def test_a_thread_lane_opens_only_beside_a_one_thread_blas_on_a_spare_core(
-            self, monkeypatch, blas_threads, cores, opens):
-        monkeypatch.setattr(gcn, "_blas_threads", lambda: blas_threads)
+            self, monkeypatch, found, cores, opens):
+        # Where numpy's OpenBLAS is not found, no count is set.
+        blas = FakeBlas(4)
+        monkeypatch.setattr(gcn, "_openblas_threads",
+                            lambda: (blas.get, blas.set) if found else None)
         monkeypatch.setattr(gcn, "_usable_cores", lambda: cores)
         with gcn._training_lane() as lane:
             assert isinstance(lane, futures.ThreadPoolExecutor) == opens
             assert (lane is gcn._INLINE_LANE) != opens
+            assert blas.threads == (1 if found else 4)
+        assert blas.sets == ([1, 4] if found else [])
+
+    def test_a_diverging_loop_restores_the_blas_thread_count(self, monkeypatch):
+        blas = FakeBlas(2)
+        monkeypatch.setattr(gcn, "_openblas_threads", lambda: (blas.get, blas.set))
+        topo, _, graph_in, seq = small_case(33, n=16, n_d=7)
+        weights = ModelWeights.init_scaled_uniform(8, 1, seed=1)
+        weights.matrices[0][0, 0] = np.nan
+        with pytest.raises(gcn.TrainingDivergence):
+            solve(graph_in, seq, build_kernel(seq), weights, topo.comm_range, TINY, seed=2)
+        assert blas.sets == [1, 2]
 
     def test_experiment_workers_train_inline(self, monkeypatch):
-        # The forked worker inherits the patched probes, which would open a
+        # The forked worker inherits the patched probe, which would open a
         # thread lane in this process; the workers share the cores.
-        monkeypatch.setattr(gcn, "_blas_threads", lambda: 1)
         monkeypatch.setattr(gcn, "_usable_cores", lambda: 2)
         fork = multiprocessing.get_context("fork")
         with futures.ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-            assert pool.submit(_lane_in_worker).result(timeout=120) == (1, 2, True)
+            expected = (True, 1 if gcn._openblas_threads() else None)
+            assert pool.submit(_lane_in_worker).result(timeout=120) == expected
 
-    def test_blas_thread_probe_reads_the_thread_count(self):
-        if gcn._blas_threads() is None:
-            pytest.skip("numpy's BLAS thread count cannot be read here")
+    def test_a_pretrain_gives_one_answer_at_every_blas_thread_count(self):
+        """A pretrain in a process started with ``OPENBLAS_NUM_THREADS=2`` gives
+        the weights of one started with ``=1``, at n = 100 and d = 512, where a
+        two-thread OpenBLAS sums the (600, 512) weight gradients in another
+        order; each leaves BLAS at the count it started with."""
+        if gcn._openblas_threads() is None:
+            pytest.skip("numpy's OpenBLAS is not found here")
         src = str(Path(gcn.__file__).resolve().parents[1])
-        code = "from resilinet import gcn; print(gcn._blas_threads())"
-        # OpenBLAS runs no more threads than the machine has cores.
+        code = ("import hashlib; from resilinet import gcn; "
+                "w = gcn.pretrain(100, 200.0, 120.0, seed=11, "
+                "config=gcn.Hyperparams(pretrain_iters=3)).weights; "
+                "print(hashlib.sha256(b''.join(m.tobytes() for m in w.matrices)).hexdigest(), "
+                "gcn._openblas_threads()[0]())")
+        runs = {}
+        # OpenBLAS starts no more threads than the machine has cores.
         for threads in ("1", "2") if gcn._usable_cores() > 1 else ("1",):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
             env.pop("OMP_NUM_THREADS", None)
-            probed = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                    text=True, check=True, timeout=120).stdout.strip()
-            assert probed == threads
+            runs[threads] = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True, timeout=300).stdout.split()
+        assert {digest for digest, _ in runs.values()} == {runs["1"][0]}
+        assert all(after == threads for threads, (_, after) in runs.items())
 
 
 class TestSolve:
