@@ -17,8 +17,8 @@ from .planner import (METHOD_CENTERING, METHOD_FALLBACK, METHOD_LEARNED,
                       PLAN_METHODS, RecoveryPlan, load_plan, plan_centering,
                       plan_learned, plan_recovery, save_plan, verify_plan)
 from .simulate import (ExperimentResults, ExperimentSpec, SimResult,
-                       export_results, run_experiment, simulate_recovery,
-                       write_summary_csv)
+                       export_results, recovery_budget, run_experiment,
+                       simulate_recovery, write_summary_csv)
 from .swarm import (DegreeStats, GenerationError, SwarmTopology, count_subnets,
                     degree_stats, diameter_hops, generate_swarm, hop_distances,
                     load_topology, save_topology)

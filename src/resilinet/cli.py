@@ -25,7 +25,7 @@ from .gcn import (Hyperparams, TrainingDivergence, load_model, pretrain,
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, load_plan,
                       plan_recovery, save_plan)
 from .simulate import (RESULTS_FIELDS, RESULTS_VERSION, ExperimentSpec, export_results,
-                       run_experiment, simulate_recovery, write_summary_csv)
+                       recovery_budget, run_experiment, simulate_recovery, write_summary_csv)
 from .swarm import (GenerationError, generate_swarm, load_topology, read_json, read_payload,
                     require_known_fields, save_topology, write_csv, write_payload)
 
@@ -167,7 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, topology.n)
     plan = load_plan(args.plan)
     max_speed, step_s = opts["max_speed"], opts["step_s"]
-    t_max = args.t_max if args.t_max is not None else topology.side / (2 * max_speed)
+    t_max = recovery_budget(topology.side, max_speed, args.t_max)
     if len(plan.targets) != scenario.n_remaining:
         raise ValueError(f"plan file field 'targets' has {len(plan.targets)} rows, but the "
                          f"scenario leaves {scenario.n_remaining} survivors")
@@ -220,11 +220,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(out / "summary.csv", payload["summary"])
-    write_csv(out / "trc_vs_nd.csv", ["method", "n_d", "mean_T", "std_T"], (
-        [s["method"], s["n_d"],
-         *(None if s[key] is None else float(s[key]) for key in ("mean_T", "std_T"))]
-        for s in payload["summary"]
-    ))
+    write_summary_csv(out / "trc_vs_nd.csv", payload["summary"],
+                      ["method", "n_d", "mean_T", "std_T"])
     print(f"wrote report -> {out}")
     return EXIT_OK
 

@@ -70,10 +70,6 @@ class InputGraph:
     n_remaining: int
     n_destroyed: int
 
-    @property
-    def n(self) -> int:
-        return self.order.size
-
 
 def apply_damage(topology: SwarmTopology, n_destroyed: int, seed: int,
                  require_split: bool = True, max_attempts: int = 10_000) -> DamageScenario:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,10 @@ TRIAL_COLUMNS = [
 SUMMARY_COLUMNS = [
     "method", "n", "n_d", "R_c", "mean_T", "std_T", "mean_deg", "max_deg",
 ]
+# The results file's names for the record fields it spells differently.
+RESULTS_NAMES = {"measured_s": "measured_T_rc_s", "planned_s": "planned_T_rc_s",
+                 "iterations": "iterations_used", "r_c": "R_c", "mean_t": "mean_T",
+                 "std_t": "std_T"}
 # A results file's table: each summary row holds every summary column.
 RESULTS_FIELDS = {"summary": [{"method": "string", "n": "number", "n_d": "number",
                                **{c: "finite number or null" for c in SUMMARY_COLUMNS[3:]}}]}
@@ -65,6 +69,11 @@ class SimResult:
     degree: DegreeStats
     final_positions: np.ndarray
     history: np.ndarray | None = None
+
+
+def recovery_budget(side: float, max_speed: float, t_max: float | None = None) -> float:
+    """``t_max`` if given, else the flight across half the deployment side at max_speed."""
+    return side / (2.0 * max_speed) if t_max is None else t_max
 
 
 def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
@@ -213,7 +222,7 @@ def _certified_steps(frames: np.ndarray, forest, across, comm_range: float,
 class ExperimentSpec:
     """Sweep definition: swarm parameters, damage sizes, trials, methods.
 
-    ``t_max`` of None resolves to side / (2 * max_speed).  ``seeds`` may pin
+    ``t_max`` of None resolves to ``recovery_budget``'s default.  ``seeds`` may pin
     explicit per-trial seeds; otherwise they derive from ``master_seed`` so
     that growing ``trials`` keeps the existing trials identical.
     """
@@ -258,10 +267,10 @@ class ExperimentSpec:
 
     @property
     def side(self) -> float:
-        return 1000.0 * math.sqrt(self.n / self.density_per_km2)
+        return check_swarm_params(self.n, self.density_per_km2, self.comm_range)
 
     def resolve_t_max(self) -> float:
-        return self.side / (2.0 * self.max_speed) if self.t_max is None else self.t_max
+        return recovery_budget(self.side, self.max_speed, self.t_max)
 
     def trial_seeds(self) -> tuple[int, ...]:
         if self.seeds is not None:
@@ -410,10 +419,12 @@ def run_experiment(spec: ExperimentSpec, weights: ModelWeights | None = None,
     seeds = spec.trial_seeds()
     tasks = [(n_d, seeds[i]) for n_d in spec.damage_sizes for i in range(spec.trials)]
 
+    # No more workers than tasks: the pool forks every worker at once.
+    workers = min(jobs, len(tasks))
     trials: list[TrialRecord] = []
-    if jobs > 1:
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
+            max_workers=workers, initializer=_init_worker,
             initargs=(spec, weights, config),
         ) as pool:
             for records in pool.map(_worker_trial, tasks):
@@ -439,40 +450,31 @@ def results_to_dict(results: ExperimentResults) -> dict:
             "seeds": list(spec.trial_seeds()), "methods": list(spec.methods),
             "t_max_s": spec.resolve_t_max(),
         },
-        "trials": [
-            {
-                "method": t.method, "n": t.n, "n_d": t.n_d, "seed": t.seed,
-                "skipped": t.skipped, "skip_reason": t.skip_reason,
-                "converged": t.converged, "measured_T_rc_s": t.measured_s,
-                "planned_T_rc_s": t.planned_s, "mean_degree": t.mean_degree,
-                "max_degree": t.max_degree, "k_star": t.k_star,
-                "iterations_used": t.iterations,
-                "subnet_series": list(t.subnet_series),
-                "final_degrees": list(t.final_degrees),
-            }
-            for t in results.trials
-        ],
-        "summary": [
-            {
-                "method": s.method, "n": s.n, "n_d": s.n_d, "R_c": s.r_c,
-                "mean_T": s.mean_t, "std_T": s.std_t, "mean_deg": s.mean_deg,
-                "max_deg": s.max_deg, "trials": s.trials, "skipped": s.skipped,
-                "degree_cdf": list(s.degree_cdf),
-            }
-            for s in results.summary
-        ],
+        "trials": [_row(t) for t in results.trials],
+        "summary": [_row(s) for s in results.summary],
     }
 
 
-def write_summary_csv(path: str | Path, summary_rows: list[dict]) -> None:
-    """Summary CSV from summary rows; an integer metric is written as a float.
+def _row(record: TrialRecord | CellSummary) -> dict:
+    """A record's fields under their ``RESULTS_NAMES`` names, tuples as lists."""
+    row = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        row[RESULTS_NAMES.get(f.name, f.name)] = (list(value) if isinstance(value, tuple)
+                                                   else value)
+    return row
+
+
+def write_summary_csv(path: str | Path, summary_rows: list[dict],
+                      columns: list[str] = SUMMARY_COLUMNS) -> None:
+    """Summary CSV of ``columns``; every column but method, n and n_d is written as a float.
 
     The rows are ``results_to_dict``'s, or those of a results file read
     against ``RESULTS_FIELDS``, so every column is present and typed.
     """
-    write_csv(path, SUMMARY_COLUMNS, [
-        [row["method"], row["n"], row["n_d"]]
-        + [None if row[key] is None else float(row[key]) for key in SUMMARY_COLUMNS[3:]]
+    write_csv(path, columns, [
+        [row[key] if key in SUMMARY_COLUMNS[:3] or row[key] is None else float(row[key])
+         for key in columns]
         for row in summary_rows
     ])
 

@@ -127,8 +127,8 @@ def _pairs_in_range(positions: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return dist_sq <= comm_range * comm_range
 
 
-def check_swarm_params(n: int, density_per_km2: float, comm_range: float) -> None:
-    """Raise ValueError naming the first swarm parameter outside its domain."""
+def check_swarm_params(n: int, density_per_km2: float, comm_range: float) -> float:
+    """The deployment side in meters; a ValueError names the first parameter out of domain."""
     if n < 2:
         raise ValueError("n must be at least 2")
     # n / density must be finite too, or the side of the area overflows.
@@ -136,6 +136,7 @@ def check_swarm_params(n: int, density_per_km2: float, comm_range: float) -> Non
         raise ValueError("density_per_km2 must be finite and positive")
     if not 0 < comm_range < math.inf:
         raise ValueError("comm_range must be positive and finite")
+    return 1000.0 * math.sqrt(n / density_per_km2)
 
 
 def generate_swarm(n: int, density_per_km2: float, comm_range: float,
@@ -148,8 +149,7 @@ def generate_swarm(n: int, density_per_km2: float, comm_range: float,
     an infeasible (n, density, comm_range) combination rather than looping
     forever.  Deterministic for a fixed seed.
     """
-    check_swarm_params(n, density_per_km2, comm_range)
-    side = 1000.0 * math.sqrt(n / density_per_km2)
+    side = check_swarm_params(n, density_per_km2, comm_range)
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         topology = SwarmTopology(rng.uniform(0.0, side, size=(n, 2)), comm_range, side)

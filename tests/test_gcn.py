@@ -899,7 +899,7 @@ class TestTrainingLane:
     @pytest.mark.parametrize("found, cores, opens", [
         (True, 2, True), (True, 8, True), (True, 1, False), (False, 2, False), (False, 8, False),
     ])
-    def test_a_thread_lane_opens_only_beside_a_one_thread_blas_on_a_spare_core(
+    def test_a_lane_opens_on_a_spare_core_where_openblas_is_found_whatever_its_thread_count(
             self, monkeypatch, found, cores, opens):
         # Where numpy's OpenBLAS is not found, no count is set.
         blas = FakeBlas(4)

@@ -15,7 +15,7 @@ from resilinet.planner import (METHOD_CENTERING, RecoveryPlan, plan_centering,
                                verify_plan)
 from resilinet.simulate import (ExperimentSpec, SUMMARY_COLUMNS, TRIAL_COLUMNS,
                                 derive_trial_seeds, export_results,
-                                results_to_dict, run_experiment,
+                                recovery_budget, results_to_dict, run_experiment,
                                 simulate_recovery)
 from resilinet.swarm import build_adjacency, generate_swarm
 
@@ -504,6 +504,41 @@ class TestRunExperiment:
     def test_planner_speed_must_match_the_experiment(self):
         with pytest.raises(ValueError, match="max_speed"):
             run_experiment(self.spec(max_speed=5.0), config=Hyperparams())
+
+    def test_the_budget_is_the_flight_across_half_the_side(self):
+        spec = self.spec()
+        side = generate_swarm(spec.n, spec.density_per_km2, spec.comm_range, seed=1).side
+        assert spec.side == side
+        assert spec.resolve_t_max() == recovery_budget(side, 10.0) == side / 20.0
+        assert self.spec(t_max=0.0).resolve_t_max() == recovery_budget(side, 10.0, 0.0) == 0.0
+
+    def test_the_trial_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # A real pool forks every worker at its first task; this one runs
+        # the tasks in this process and records its size.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate, "_WORKER_STATE", {})
+        for trials, pools in ((2, [2]), (1, [])):
+            sizes.clear()
+            spec = self.spec(trials=trials)
+            pooled = run_experiment(spec, jobs=512)
+            assert sizes == pools
+            assert results_to_dict(pooled) == results_to_dict(run_experiment(spec))
 
     def test_parallel_jobs_match_serial(self):
         spec = self.spec(trials=2)
