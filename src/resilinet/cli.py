@@ -24,10 +24,11 @@ from .gcn import (Hyperparams, TrainingDivergence, load_model, pretrain,
                   save_model, write_loss_curve)
 from .planner import (METHOD_CENTERING, METHOD_LEARNED, PLAN_METHODS, load_plan,
                       plan_recovery, save_plan)
-from .simulate import (RESULTS_FIELDS, RESULTS_VERSION, ExperimentSpec, export_results,
-                       recovery_budget, run_experiment, simulate_recovery, write_summary_csv)
+from .simulate import (RESULTS_FIELDS, RESULTS_VERSION, ExperimentSpec, _write_series_csv,
+                       export_results, recovery_budget, run_experiment, simulate_recovery,
+                       write_summary_csv)
 from .swarm import (GenerationError, generate_swarm, load_topology, read_json, read_payload,
-                    require_known_fields, save_topology, write_csv, write_payload)
+                    require_known_fields, save_topology, write_payload)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,9 +185,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "n_subnets_series": sim.subnet_series.tolist(),
     })
     if args.series:
-        write_csv(args.series, ["step", "t_s", "n_subnets"],
-                  ([step, step * step_s, ns]
-                   for step, ns in enumerate(sim.subnet_series.tolist())))
+        _write_series_csv(args.series, [{"subnet_series": sim.subnet_series.tolist()}], step_s)
     measured = "none" if sim.first_connected_s is None else f"{sim.first_connected_s:.2f} s"
     print(f"simulated: converged={sim.converged} measured_T={measured} -> {args.out}")
     return EXIT_OK

@@ -76,6 +76,14 @@ def recovery_budget(side: float, max_speed: float, t_max: float | None = None) -
     return side / (2.0 * max_speed) if t_max is None else t_max
 
 
+def _check_flight(max_speed: float, step_s: float, t_max: float | None) -> None:
+    for name, value in (("max_speed", max_speed), ("step_s", step_s)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    if t_max is not None and not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be a finite non-negative number")
+
+
 def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
                       step_s: float, comm_range: float, t_max: float,
                       keep_history: bool = False) -> SimResult:
@@ -111,12 +119,7 @@ def simulate_recovery(start: np.ndarray, plan: RecoveryPlan, max_speed: float,
     which the rounding of the motion stays far within, so dropping those
     pairs never changes a count.
     """
-    if not 0 < max_speed < math.inf:
-        raise ValueError("max_speed must be positive and finite")
-    if not 0 < step_s < math.inf:
-        raise ValueError("step_s must be positive and finite")
-    if not 0 <= t_max < math.inf:
-        raise ValueError("t_max must be a finite non-negative number")
+    _check_flight(max_speed, step_s, t_max)
     positions = np.asarray(start, dtype=float).copy()
     targets = np.asarray(plan.targets, dtype=float)
     if positions.shape != targets.shape:
@@ -243,14 +246,9 @@ class ExperimentSpec:
         check_swarm_params(self.n, self.density_per_km2, self.comm_range)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not 0 < self.max_speed < math.inf:
-            raise ValueError("max_speed must be positive and finite")
-        if not 0 < self.step_s < math.inf:
-            raise ValueError("step_s must be positive and finite")
+        _check_flight(self.max_speed, self.step_s, self.t_max)
         if self.seeds is not None and len(self.seeds) < self.trials:
             raise ValueError("seeds must cover every trial")
-        if self.t_max is not None and not 0 <= self.t_max < math.inf:
-            raise ValueError("t_max must be a finite non-negative number")
         for name in ("methods", "damage_sizes"):
             values = getattr(self, name)
             if not values:
@@ -343,12 +341,11 @@ def _run_trial(spec: ExperimentSpec, n_d: int, seed: int,
         ]
 
     start = topology.positions[scenario.remaining]
-    t_max = spec.resolve_t_max()
     records = []
     for method in spec.methods:
         plan = plan_recovery(method, topology, scenario, config, weights, seed=solve_seed)
-        sim = simulate_recovery(start, plan, spec.max_speed, spec.step_s,
-                                spec.comm_range, t_max)
+        sim = simulate_recovery(start, plan, spec.max_speed, spec.step_s, spec.comm_range,
+                                spec.resolve_t_max())
         records.append(TrialRecord(
             method=method, n=spec.n, n_d=n_d, seed=seed,
             converged=sim.converged, measured_s=sim.first_connected_s,
@@ -479,6 +476,13 @@ def write_summary_csv(path: str | Path, summary_rows: list[dict],
     ])
 
 
+def _write_series_csv(path: str | Path, rows, step_s: float, key=()) -> None:
+    """Per step k of each row's subnet_series: its ``key`` cells, k, k * step_s, the count."""
+    write_csv(path, [*key, "step", "t_s", "n_subnets"],
+              ([*(row[c] for c in key), step, step * step_s, count]
+               for row in rows for step, count in enumerate(row["subnet_series"])))
+
+
 def export_results(results: ExperimentResults, out_dir: str | Path) -> dict[str, Path]:
     """Write per-trial CSV, summary CSV, JSON, and plot-ready series files."""
     out = Path(out_dir)
@@ -493,15 +497,11 @@ def export_results(results: ExperimentResults, out_dir: str | Path) -> dict[str,
 
     payload = results_to_dict(results)
     trials, summary = payload["trials"], payload["summary"]
-    step_s = payload["spec"]["step_s"]
     write_csv(paths["trials"], TRIAL_COLUMNS,
               ([t[c] for c in TRIAL_COLUMNS] for t in trials if not t["skipped"]))
     write_summary_csv(paths["summary"], summary)
     write_payload(paths["json"], payload)
-    write_csv(paths["subnet_series"],
-              ["method", "n", "n_d", "seed", "step", "t_s", "n_subnets"],
-              ([t["method"], t["n"], t["n_d"], t["seed"], step, step * step_s, ns]
-               for t in trials for step, ns in enumerate(t["subnet_series"])))
+    _write_series_csv(paths["subnet_series"], trials, results.spec.step_s, TRIAL_COLUMNS[:4])
     write_csv(paths["degree_cdf"], ["method", "n", "n_d", "degree", "cumulative_fraction"],
               ([s["method"], s["n"], s["n_d"], d, frac]
                for s in summary for d, frac in enumerate(s["degree_cdf"])))

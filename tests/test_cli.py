@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from resilinet import planner
-from resilinet.cli import (EXIT_CONFIG, EXIT_GENERATION, EXIT_INTERNAL, EXIT_OK, main)
-from resilinet.gcn import Hyperparams, ModelWeights, pretrain, save_model
+from resilinet import cli, planner
+from resilinet.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_GENERATION, EXIT_INTERNAL,
+                           EXIT_OK, main)
+from resilinet.gcn import Hyperparams, ModelWeights, TrainingDivergence, pretrain, save_model
 from resilinet.planner import METHOD_CENTERING, METHOD_LEARNED, PLAN_FIELDS
 from resilinet.simulate import (RESULTS_FIELDS, RESULTS_VERSION, ExperimentSpec,
                                 export_results, results_to_dict, run_experiment)
@@ -118,6 +119,9 @@ class TestPipeline:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "t_s", "n_subnets"]
         assert int(rows[-1][2]) == 1
+        # Step k of the flight is at t_s = k * step_s (0.1 s by default).
+        assert [(int(k), float(t_s), int(count)) for k, t_s, count in rows[1:]] == [
+            (k, k * 0.1, count) for k, count in enumerate(sim_payload["n_subnets_series"])]
 
     def test_plan_without_model_is_config_error(self, tmp_path):
         topo = tmp_path / "topo.json"
@@ -175,6 +179,18 @@ class TestPipeline:
         assert "internal error: centering produced a disconnected plan" in err
         assert "Traceback" not in err
 
+    def test_a_diverging_pretrain_exits_4(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args):
+            raise TrainingDivergence("non-finite network output")
+
+        monkeypatch.setattr(cli, "pretrain", diverge)
+        capsys.readouterr()
+        assert run("pretrain", "--n", "16", "--out", str(tmp_path / "m.json")) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert "training divergence: non-finite network output" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestExperiment:
     def test_centering_sweep(self, tmp_path):
@@ -206,8 +222,9 @@ class TestExperiment:
         (["--nd", "9,30"], "damage_sizes entry 30 is not in [1, n-1] = [1, 29]"),
         (["--nd", "0"], "damage_sizes entry 0 is not in [1, n-1] = [1, 29]"),
         (["--nd", "9,x"], "--nd entry 'x' is not an integer"),
+        (["--nd", "10", "--trials", "0"], "trials must be at least 1"),
     ], ids=["repeated-damage-size", "repeated-method", "jobs-zero", "jobs-negative",
-            "damage-size-n", "damage-size-zero", "damage-size-not-integer"])
+            "damage-size-n", "damage-size-zero", "damage-size-not-integer", "trials-zero"])
     def test_a_repeated_entry_or_no_job_is_a_usage_error(self, tmp_path, capsys, argv,
                                                         message):
         capsys.readouterr()

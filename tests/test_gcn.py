@@ -809,6 +809,9 @@ class TestWorkspace:
         workspace = gcn.Workspace.for_batch(weights, seq.batch_features.shape[0])
         forward(weights, seq, kernel, self.CONFIG, train=True, rng=np.random.default_rng(6),
                 workspace=workspace)
+        # Only a pass that draws masks needs an rng.
+        with pytest.raises(ValueError, match="train-mode forward with dropout needs an rng"):
+            forward(weights, seq, kernel, self.CONFIG, train=True, workspace=workspace)
         no_dropout = replace(self.CONFIG, dropout=0.0)
         _, trace = forward(weights, seq, kernel, no_dropout, train=True, workspace=workspace)
         assert not trace.dropped

@@ -496,7 +496,8 @@ class TestRunExperiment:
         ("damage_sizes", (), "damage_sizes must not be empty"),
         ("damage_sizes", (9, 20), r"damage_sizes entry 20 is not in \[1, n-1\] = \[1, 19\]"),
         ("damage_sizes", (0,), r"damage_sizes entry 0 is not in \[1, n-1\] = \[1, 19\]"),
-    ], ids=["no-method", "no-damage-size", "damage-size-n", "damage-size-zero"])
+        ("seeds", (1, 2), "seeds must cover every trial"),
+    ], ids=["no-method", "no-damage-size", "damage-size-n", "damage-size-zero", "too-few-seeds"])
     def test_empty_or_out_of_range_entries_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             self.spec(**{field: value})
@@ -569,6 +570,16 @@ class TestExport:
             rows = list(csv.reader(fh))
         assert rows[0] == SUMMARY_COLUMNS
         assert all(len(row) == len(SUMMARY_COLUMNS) for row in rows)
+        # Step k of a trial's series is at t_s = k * step_s.
+        with open(paths["subnet_series"]) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["method", "n", "n_d", "seed", "step", "t_s", "n_subnets"]
+        trials = json.loads(paths["json"].read_text())["trials"]
+        cells = [(method, int(n), int(n_d), int(seed), int(k), float(t_s), int(count))
+                 for method, n, n_d, seed, k, t_s, count in rows[1:]]
+        assert cells == [(t["method"], t["n"], t["n_d"], t["seed"], k, k * spec.step_s, count)
+                         for t in trials for k, count in enumerate(t["subnet_series"])]
+        assert len(cells) > len(trials)
 
     def test_json_round_trip(self, tmp_path):
         spec = ExperimentSpec(n=20, damage_sizes=(9,), trials=2, master_seed=5,

@@ -129,19 +129,20 @@ class TestGenerateSwarm:
         with pytest.raises(GenerationError):
             generate_swarm(30, 200.0, 1.0, seed=0, max_attempts=50)
 
-    @pytest.mark.parametrize("density, comm_range, message", [
-        (float("nan"), 120.0, "density_per_km2 must be finite and positive"),
-        (float("inf"), 120.0, "density_per_km2 must be finite and positive"),
-        (0.0, 120.0, "density_per_km2 must be finite and positive"),
-        (1e-320, 120.0, "density_per_km2 must be finite and positive"),
-        (200.0, float("nan"), "comm_range must be positive"),
-        (200.0, float("inf"), "comm_range must be positive and finite"),
-        (200.0, -1.0, "comm_range must be positive"),
+    @pytest.mark.parametrize("n, density, comm_range, message", [
+        (20, float("nan"), 120.0, "density_per_km2 must be finite and positive"),
+        (20, float("inf"), 120.0, "density_per_km2 must be finite and positive"),
+        (20, 0.0, 120.0, "density_per_km2 must be finite and positive"),
+        (20, 1e-320, 120.0, "density_per_km2 must be finite and positive"),
+        (20, 200.0, float("nan"), "comm_range must be positive"),
+        (20, 200.0, float("inf"), "comm_range must be positive and finite"),
+        (20, 200.0, -1.0, "comm_range must be positive"),
+        (1, 200.0, 120.0, "n must be at least 2"),
     ], ids=["density-nan", "density-inf", "density-zero", "density-area-overflow",
-            "comm-range-nan", "comm-range-inf", "comm-range-negative"])
-    def test_rejects_parameters_outside_their_domain(self, density, comm_range, message):
+            "comm-range-nan", "comm-range-inf", "comm-range-negative", "one-node"])
+    def test_rejects_parameters_outside_their_domain(self, n, density, comm_range, message):
         with pytest.raises(ValueError, match=message):
-            generate_swarm(20, density, comm_range, seed=0, max_attempts=3)
+            generate_swarm(n, density, comm_range, seed=0, max_attempts=3)
 
     def test_adjacency_is_built_once_and_read_only(self):
         topo = generate_swarm(20, 200.0, 120.0, seed=1)
